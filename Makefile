@@ -40,3 +40,5 @@ fuzz-smoke:
 	$(GO) test ./internal/lte/dci -run '^$$' -fuzz 'FuzzDCIRoundTrip' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sniffer -run '^$$' -fuzz 'FuzzBlindDecode' -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz 'FuzzDefenseConfig' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/artifact -run '^$$' -fuzz 'FuzzArtifactDecode' -fuzztime $(FUZZTIME)

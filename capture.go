@@ -43,7 +43,7 @@ type CaptureOptions struct {
 	// metro-scale crowd of attached subscribers.
 	Population int
 	// Defenses applies the paper's countermeasures to the network.
-	Defenses DefenseOptions
+	Defenses Defense
 	// Metrics, when non-nil, additionally records per-cell decode-health
 	// and scheduler metrics into the given registry (see internal/obs).
 	Metrics *obs.Registry

@@ -60,10 +60,6 @@ type Defense struct {
 	SmartPaging bool
 }
 
-// DefenseOptions is the historical name of Defense; existing code using
-// CaptureOptions.Defenses keeps compiling.
-type DefenseOptions = Defense
-
 // Enabled reports whether any countermeasure is switched on.
 func (d Defense) Enabled() bool { return d != Defense{} }
 

@@ -91,7 +91,7 @@ type KindStats struct {
 	// Misses counts requests that ran the compute function.
 	Misses int64
 	// Bypasses counts requests that skipped the store entirely (store
-	// disabled, or the caller's bypass rule — e.g. metrics enabled).
+	// disabled, or the caller's bypass rule — e.g. an unhashable request).
 	Bypasses int64
 	// Evictions counts memory-tier entries dropped by the byte budget.
 	Evictions int64
@@ -293,7 +293,7 @@ func (s *Store) ReadStats() Stats {
 }
 
 // CountBypass records a request that skipped the store by caller policy
-// (e.g. a metrics-enabled run that must measure real work).
+// (e.g. a request whose inputs have no content key).
 func (s *Store) CountBypass(k Kind) {
 	s.counters(k).bypasses.Add(1)
 	if m := s.metrics.Load(); m != nil {

@@ -19,9 +19,9 @@ import (
 // by the capture's scenario key plus the extraction parameters) and
 // trained classifiers (keyed by the training-set content plus the forest
 // configuration). Both ride the same two-tier store as raw captures, so a
-// warm run skips simulation, extraction, and training alike — and both
-// bypass the store entirely on metrics-enabled runs, where instrumentation
-// must measure real work.
+// warm run skips simulation, extraction, and training alike. Metrics runs
+// take the same path: counters measure computed work; served work shows on
+// the store's cache counters.
 
 // DirectionFilter restricts a session trace to one link direction before
 // windowing — Table III's sniffer-coverage variants, expressed over a
@@ -107,8 +107,8 @@ func (windowsCodec) Size(v any) int64 {
 // the victim's window vectors under the given direction filter, through
 // the artifact store: a warm run decodes the matrix without touching the
 // capture at all, a capture-warm run re-windows the cached capture, and a
-// cold run simulates. Metrics-enabled specs bypass every tier, as does a
-// scenario without a content key.
+// cold run simulates. Only a scenario without a content key bypasses the
+// store.
 func CollectWindows(spec CollectSpec, session int, filter DirectionFilter) ([][]float64, error) {
 	spec, err := spec.normalize()
 	if err != nil {
@@ -123,7 +123,7 @@ func CollectWindows(spec CollectSpec, session int, filter DirectionFilter) ([][]
 		return WindowVectors(filter.Apply(res.UserTrace("victim")), spec.Window, spec.Stride), nil
 	}
 	capKey, hashable := capture.ScenarioKey(sc)
-	if !hashable || spec.Metrics.Enabled() {
+	if !hashable {
 		artifact.Default.CountBypass(artifact.KindFeatures)
 		return compute()
 	}
@@ -225,8 +225,9 @@ func TrainingKey(ts *TrainingSet, cfg Config) artifact.Key {
 
 // TrainCached trains through the artifact store: a warm run decodes the
 // persisted classifier (skipping forest training entirely), and the first
-// cold run populates the store. Callers whose run must be measured
-// (metrics enabled) should call Train directly.
+// cold run populates the store. Forest counters measure computed work
+// (only a run that trains records rows_trained); served work shows on the
+// store's cache counters.
 func TrainCached(ts *TrainingSet, cfg Config) (*Classifier, error) {
 	v, err := artifact.Default.GetOrCompute(classifierCodec{}, TrainingKey(ts, cfg), func() (any, error) {
 		return Train(ts, cfg)

@@ -22,10 +22,11 @@ import (
 //     profile-loss application, every cell's ID and full operator profile,
 //     and every session's UE name, cell, timing, drift day, and traffic
 //     (app identity, or the full pre-built arrival stream).
-//   - The Metrics scope is deliberately NOT part of the key — but a
-//     metrics-enabled scenario always bypasses the cache and simulates,
-//     because instrumentation measures the simulation and a cache hit has
-//     nothing to measure. Output bytes are identical either way.
+//   - The Metrics scope is deliberately NOT part of the key, and a
+//     metrics-enabled scenario goes through the store like any other:
+//     counters measure computed work (only the call that simulates records
+//     sniffer and scheduler counts); served work shows on the store's
+//     cache counters. Output bytes are identical either way.
 //   - Workers is deliberately NOT part of the key either: the fabric's
 //     worker-count invariance makes the output byte-identical at every
 //     setting, so captures memoized by a serial run are shared with
@@ -54,8 +55,8 @@ type CacheStats struct {
 	DiskHits int64
 	// Misses counts RunCached calls that simulated and populated an entry.
 	Misses int64
-	// Bypasses counts RunCached calls that skipped the cache (metrics
-	// enabled, unhashable scenario, or cache disabled).
+	// Bypasses counts RunCached calls that skipped the cache (unhashable
+	// scenario, or cache disabled).
 	Bypasses int64
 	// Evictions counts entries dropped by the memory tier's byte budget.
 	Evictions int64
@@ -101,7 +102,7 @@ func ReadCacheStats() CacheStats {
 // the memoized result. The returned Capture is shared and immutable.
 func RunCached(sc Scenario) (*Capture, error) {
 	key, hashable := ScenarioKey(sc)
-	if !hashable || sc.Metrics.Enabled() {
+	if !hashable {
 		artifact.Default.CountBypass(artifact.KindCapture)
 		return Run(sc)
 	}

@@ -166,21 +166,49 @@ func TestScenarioKeyUnhashable(t *testing.T) {
 	}
 }
 
-func TestRunCachedBypassesForMetrics(t *testing.T) {
+// TestRunCachedMetricsCountComputedWork pins the one-path contract: a
+// metrics-enabled scenario goes through the store, the simulating call
+// records sniffer counters, and a repeat is a memory hit that returns the
+// same capture and records nothing (served work shows only in the store's
+// counters).
+func TestRunCachedMetricsCountComputedWork(t *testing.T) {
 	resetCacheT(t)
 	sc := testScenario()
 	reg := obs.NewRegistry()
 	sc.Metrics = reg.Scope("pipeline")
-	if _, err := RunCached(sc); err != nil {
+	first, err := RunCached(sc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := ReadCacheStats()
-	if st.Bypasses != 1 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 1 bypass and no entries", st)
+	if st.Misses != 1 || st.Hits != 0 || st.Bypasses != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, 0 hits, 0 bypasses, 1 entry", st)
 	}
 	// The instrumentation must have actually measured the simulation.
-	if reg.Snapshot().Counter("pipeline.cell1.sniffer.records") == 0 {
-		t.Fatal("metrics-enabled bypass recorded no sniffer activity")
+	snap := reg.Snapshot()
+	records := snap.Counter("pipeline.cell1.sniffer.records")
+	candidates := snap.Counter("pipeline.cell1.sniffer.candidates")
+	if records == 0 || candidates == 0 {
+		t.Fatalf("metrics-enabled simulation recorded %d records, %d candidates; want both > 0", records, candidates)
+	}
+
+	second, err := RunCached(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatal("metrics-enabled repeat returned a different *Capture")
+	}
+	st = ReadCacheStats()
+	if st.Misses != 1 || st.Hits != 1 || st.Bypasses != 0 {
+		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 0 bypasses", st)
+	}
+	snap = reg.Snapshot()
+	if got := snap.Counter("pipeline.cell1.sniffer.records"); got != records {
+		t.Errorf("served repeat moved sniffer.records %d -> %d", records, got)
+	}
+	if got := snap.Counter("pipeline.cell1.sniffer.candidates"); got != candidates {
+		t.Errorf("served repeat moved sniffer.candidates %d -> %d", candidates, got)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,46 +155,35 @@ func TestDaemonCheckpointRestartConvergence(t *testing.T) {
 	}
 
 	// Interrupted run: cancel as soon as every capture has checkpointed.
+	// The daemon writes verdict lines synchronously from each capture's
+	// verdict stage, so the writer interrupts at a point fixed by the
+	// pipeline itself, not by a wall-clock race with the run.
 	dir := t.TempDir()
 	var cutOut bytes.Buffer
-	cut, err := daemon.New(baseConfig(t, dir, &cutOut))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cutCfg := baseConfig(t, dir, &cutOut)
+	interrupt := &interruptAtCheckpoint{w: cutCfg.Out, dir: dir, cancel: cancel, saved: map[string][]byte{}}
+	cutCfg.Out = interrupt
+	cut, err := daemon.New(cutCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- cut.Run(ctx) }()
-	deadline := time.After(30 * time.Second)
-poll:
-	for {
-		ready := true
-		for _, spec := range testSpecs() {
-			if fi, err := os.Stat(filepath.Join(dir, spec.Name+".ckpt")); err != nil || fi.Size() == 0 {
-				ready = false
-			}
-		}
-		if ready {
-			break
-		}
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			break poll // finished before we could interrupt; resume still exercises restore
-		case <-deadline:
-			t.Fatal("no checkpoints appeared within 30s")
-		case <-time.After(2 * time.Millisecond):
-		}
+	if err := cut.Run(ctx); err != nil {
+		t.Fatal(err)
 	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
+	if !interrupt.fired {
+		t.Fatal("interrupted run finished before every capture had checkpointed; the interrupt never fired")
+	}
+	// Cancellation stops only the source stage; the rest of the pipeline
+	// drains what the source already queued, checkpoint barriers included,
+	// and the source may have reached the scenario's end by then. Put back
+	// the checkpoints as they stood at the interrupt: the disk state a
+	// crash at that point leaves behind.
+	for name, b := range interrupt.saved {
+		if err := os.WriteFile(filepath.Join(dir, name+".ckpt"), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("interrupted daemon did not drain")
 	}
 
 	// Resumed run: fresh daemon, same checkpoint directory.
@@ -203,6 +194,22 @@ poll:
 	}
 	if err := res.Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	// Every capture must have resumed from its checkpoint: a fresh start
+	// would also reproduce the reference suffix and prove nothing.
+	rec := httptest.NewRecorder()
+	res.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h daemon.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Captures) != len(testSpecs()) {
+		t.Fatalf("healthz lists %d captures, want %d", len(h.Captures), len(testSpecs()))
+	}
+	for _, cs := range h.Captures {
+		if !cs.Restored {
+			t.Fatalf("%s: resumed run did not restore its checkpoint", cs.Name)
+		}
 	}
 
 	for _, spec := range testSpecs() {
@@ -230,6 +237,41 @@ poll:
 			t.Fatalf("%s: done lines diverged:\n  reference %v\n  resumed   %v", spec.Name, refDone, resDone)
 		}
 	}
+}
+
+// interruptAtCheckpoint forwards verdict lines to w. On each capture's
+// first verdict line after that capture has checkpointed, it keeps a copy
+// of the checkpoint file; the capture's verdict stage is blocked in Write
+// meanwhile, so the copy is exactly the checkpoint the stage last wrote.
+// Once every spec has a copy it cancels the run. The daemon serialises
+// Write calls under its output lock, and Run returns only after every
+// capture has stopped, so the fields need no lock of their own.
+type interruptAtCheckpoint struct {
+	w      io.Writer
+	dir    string
+	cancel context.CancelFunc
+	saved  map[string][]byte
+	fired  bool
+}
+
+func (c *interruptAtCheckpoint) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	line := string(p)
+	end := strings.Index(line, "] t=")
+	if c.fired || !strings.HasPrefix(line, "[") || end < 0 {
+		return n, err
+	}
+	name := line[1:end]
+	if _, ok := c.saved[name]; !ok {
+		if b, readErr := os.ReadFile(filepath.Join(c.dir, name+".ckpt")); readErr == nil && len(b) > 0 {
+			c.saved[name] = b
+		}
+	}
+	if len(c.saved) == len(testSpecs()) {
+		c.fired = true
+		c.cancel()
+	}
+	return n, err
 }
 
 // TestDaemonRejectsIncompatibleCheckpoint pins detectable rejection: a

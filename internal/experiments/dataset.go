@@ -8,8 +8,8 @@ import (
 	"ltefp/internal/attack/fingerprint"
 	"ltefp/internal/features"
 	"ltefp/internal/lte/operator"
-	"ltefp/internal/sniffer"
 	"ltefp/internal/snapshot"
+	"ltefp/internal/sniffer"
 )
 
 // A dataset artifact is one assembled nine-app campaign — every app's
@@ -128,8 +128,7 @@ func datasetKey(profile operator.Profile, scale Scale, day int, seed uint64, cfg
 
 // collectDataset records (or replays) the full nine-app campaign for one
 // setting, windowed under the given direction filter, through the
-// artifact store. Metrics-enabled runs bypass every tier and fall back to
-// the uncached collection path so the instrumentation measures real work.
+// artifact store.
 func collectDataset(label string, profile operator.Profile, scale Scale, day int, seed uint64, cfg sniffer.Config, filter fingerprint.DirectionFilter) ([]appData, error) {
 	apps := appmodel.Apps()
 	specFor := func(i int) fingerprint.CollectSpec {
@@ -152,7 +151,7 @@ func collectDataset(label string, profile operator.Profile, scale Scale, day int
 	// task list. Each CollectWindows resolves through its own cache tier
 	// (and the capture tier below it), so assembly cost is whatever is not
 	// already resident.
-	compute := func() ([]appData, error) {
+	v, err := artifact.Default.GetOrCompute(datasetCodec{}, datasetKey(profile, scale, day, seed, cfg, filter), func() (any, error) {
 		out := make([]appData, len(apps))
 		type task struct{ app, session int }
 		var tasks []task
@@ -176,13 +175,6 @@ func collectDataset(label string, profile operator.Profile, scale Scale, day int
 			return nil, err
 		}
 		return out, nil
-	}
-	if pipelineScope().Enabled() {
-		artifact.Default.CountBypass(artifact.KindDataset)
-		return compute()
-	}
-	v, err := artifact.Default.GetOrCompute(datasetCodec{}, datasetKey(profile, scale, day, seed, cfg, filter), func() (any, error) {
-		return compute()
 	})
 	if err != nil {
 		return nil, err

@@ -76,7 +76,7 @@ func Defenses(scale Scale, seed uint64) (*DefensesResult, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: defenses (%s): %w", cfg.name, err)
 		}
-		clf, test, err := buildClassifier(data, seed)
+		clf, test, err := buildClassifier(data, seed, 0)
 		if err != nil {
 			return fmt.Errorf("experiments: defenses (%s): %w", cfg.name, err)
 		}

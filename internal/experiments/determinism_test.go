@@ -81,7 +81,10 @@ func TestTableIIIQuickGolden(t *testing.T) {
 // running the golden experiment with a live registry must not change a
 // single output byte, while the registry itself must show the pipeline was
 // actually measured (counters at zero would mean the instrumentation is
-// dead code, not that it is free).
+// dead code, not that it is free). Metrics runs go through the artifact
+// store like any other, so a warm rerun with a fresh registry must render
+// the same bytes while its counters show no computed work — sniffing and
+// training were served, and the cache line says so.
 func TestMetricsDoNotChangeOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-scale table III takes several seconds; skipped with -short")
@@ -90,9 +93,12 @@ func TestMetricsDoNotChangeOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	capture.ResetCache()
+	t.Cleanup(capture.ResetCache)
+	defer SetMetrics(nil)
+
 	reg := obs.NewRegistry()
 	SetMetrics(reg)
-	defer SetMetrics(nil)
 	res, err := TableIII(Quick(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -115,5 +121,27 @@ func TestMetricsDoNotChangeOutput(t *testing.T) {
 	}
 	if h, ok := snap.Histogram("pipeline.workers.task_ms"); !ok || h.Count == 0 {
 		t.Error("worker-pool wall-time histogram recorded nothing")
+	}
+
+	warmReg := obs.NewRegistry()
+	SetMetrics(warmReg)
+	warm, err := TableIII(Quick(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.String(); got != res.String() {
+		t.Errorf("warm metrics rerun diverged from the cold run:\ngot:\n%s\nwant:\n%s", got, res.String())
+	}
+	warmSnap := warmReg.Snapshot()
+	for _, name := range []string{
+		"pipeline.cell1.sniffer.candidates",
+		"pipeline.forest.rows_trained",
+	} {
+		if v := warmSnap.Counter(name); v != 0 {
+			t.Errorf("warm rerun reports %s = %d, want 0 (served work is not computed work)", name, v)
+		}
+	}
+	if v := warmSnap.Counter("pipeline.cache.mem_hits"); v == 0 {
+		t.Error("warm rerun reports no memory-tier hits; served work must show on the cache line")
 	}
 }

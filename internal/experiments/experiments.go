@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ltefp/internal/appmodel"
-	"ltefp/internal/artifact"
 	"ltefp/internal/attack/fingerprint"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/ml/metrics"
@@ -198,11 +197,10 @@ func collectSetting(profile operator.Profile, scale Scale, day int, seed uint64,
 }
 
 // buildClassifier trains the hierarchical classifier on the training halves
-// of a setting's data and returns it with the held-out test windows.
-// Training goes through the artifact store (keyed on the training content
-// and forest configuration) except on metrics-enabled runs, whose forest
-// counters must reflect real training work.
-func buildClassifier(data []appData, seed uint64) (*fingerprint.Classifier, map[string][][]float64, error) {
+// of a setting's data, windowed at w (0 means fingerprint.DefaultWindow),
+// and returns it with the held-out test windows. Training goes through the
+// artifact store, keyed on the training content and forest configuration.
+func buildClassifier(data []appData, seed uint64, w time.Duration) (*fingerprint.Classifier, map[string][][]float64, error) {
 	ts := fingerprint.NewTrainingSet()
 	test := make(map[string][][]float64, len(data))
 	for _, d := range data {
@@ -212,13 +210,8 @@ func buildClassifier(data []appData, seed uint64) (*fingerprint.Classifier, map[
 		}
 		test[d.app.Name] = held
 	}
-	cfg := fingerprint.Config{Forest: forestConfig(seed)}
-	train := fingerprint.TrainCached
-	if pipelineScope().Enabled() {
-		artifact.Default.CountBypass(artifact.KindForest)
-		train = fingerprint.Train
-	}
-	clf, err := train(ts, cfg)
+	cfg := fingerprint.Config{Window: w, Stride: w, Forest: forestConfig(seed)}
+	clf, err := fingerprint.TrainCached(ts, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

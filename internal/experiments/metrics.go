@@ -27,10 +27,9 @@ func SetMetrics(r *obs.Registry) {
 	features.SetMetrics(sc.Scope("features"))
 	forest.SetMetrics(sc.Scope("forest"))
 	correlation.SetMetrics(sc.Scope("corr"))
-	// The artifact store reports under pipeline.cache.*. Note the
-	// interplay: metrics-enabled runs bypass every cache tier (the
-	// instrumentation must measure real work), so during such runs the
-	// cache line shows bypasses, not hits.
+	// The artifact store reports under pipeline.cache.*. Metrics runs go
+	// through the store like any other: counters measure computed work;
+	// served work shows on the cache line.
 	artifact.Default.SetMetrics(sc.Scope("cache"))
 }
 

@@ -108,7 +108,7 @@ func Pareto(scale Scale, seed uint64) (*ParetoResult, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: pareto (%s): %w", configs[i].name, err)
 		}
-		clf, test, err := buildClassifier(data, seed)
+		clf, test, err := buildClassifier(data, seed, 0)
 		if err != nil {
 			return fmt.Errorf("experiments: pareto (%s): %w", configs[i].name, err)
 		}

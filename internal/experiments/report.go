@@ -14,6 +14,10 @@ import (
 //
 // Cells are aggregated: pipeline.cell1.sniffer.candidates and
 // pipeline.cell2.sniffer.candidates both land in the "candidates" total.
+//
+// Counters measure computed work; served work shows on the cache: line.
+// A run served from the artifact store reports zero candidates and zero
+// rows trained, and its hits on the cache: line account for the rest.
 func MetricsReport(snap obs.Snapshot) string {
 	sum := func(suffix string) int64 {
 		var total int64

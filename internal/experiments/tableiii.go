@@ -10,7 +10,6 @@ import (
 	"ltefp/internal/ml/forest"
 	"ltefp/internal/ml/metrics"
 	"ltefp/internal/sniffer"
-	"ltefp/internal/trace"
 )
 
 // forestConfig is the paper's Random Forest setting (Table VIII: 100
@@ -50,59 +49,21 @@ type TableIIIResult struct {
 // capture per app session feeds all three variants (a sole-downlink
 // sniffer sees exactly the downlink subset of the combined capture):
 // each variant is its own dataset artifact, and the capture tier below
-// deduplicates the shared simulations across them. Metrics-enabled runs
-// bypass the store, so they collect each capture once up front and
-// re-window it per variant — the instrumented work stays what it was.
+// deduplicates the shared simulations across them. Metrics runs take the
+// same path: counters measure computed work; served work shows on the
+// cache: line of the metrics report.
 func TableIII(scale Scale, seed uint64) (*TableIIIResult, error) {
-	lab := operator.Lab()
 	apps := appmodel.Apps()
 	cfg := sniffer.Config{CorruptProb: snifferCorruption}
-
-	var traces [][]trace.Trace
-	if pipelineScope().Enabled() {
-		var err error
-		traces, err = collectAppTraces("table III", apps, func(i int) fingerprint.CollectSpec {
-			sessions, dur := scale.sessionsFor(apps[i])
-			return fingerprint.CollectSpec{
-				Profile:          lab,
-				App:              apps[i],
-				Sessions:         sessions,
-				SessionDur:       dur,
-				Seed:             seed + uint64(i+1)*7919,
-				Sniffer:          cfg,
-				ApplyProfileLoss: true,
-				Population:       scale.Population,
-				Metrics:          pipelineScope(),
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	variants := Variants()
 	confs := make([]*metrics.Confusion, len(variants))
 	err := forEach(len(variants), func(vi int) error {
 		v := variants[vi]
-		var data []appData
-		if traces != nil {
-			data = make([]appData, len(apps))
-			for i, app := range apps {
-				d := appData{app: app}
-				for _, t := range traces[i] {
-					ft := filterVariant(t, v)
-					d.sessions = append(d.sessions, fingerprint.WindowVectors(ft, fingerprint.DefaultWindow, fingerprint.DefaultWindow))
-				}
-				data[i] = d
-			}
-		} else {
-			var err error
-			data, err = collectDataset("table III "+string(v), lab, scale, 0, seed, cfg, variantFilter(v))
-			if err != nil {
-				return fmt.Errorf("experiments: table III %s: %w", v, err)
-			}
+		data, err := collectDataset("table III "+string(v), operator.Lab(), scale, 0, seed, cfg, variantFilter(v))
+		if err != nil {
+			return fmt.Errorf("experiments: table III %s: %w", v, err)
 		}
-		clf, test, err := buildClassifier(data, seed)
+		clf, test, err := buildClassifier(data, seed, 0)
 		if err != nil {
 			return fmt.Errorf("experiments: table III %s: %w", v, err)
 		}
@@ -128,11 +89,6 @@ func TableIII(scale Scale, seed uint64) (*TableIIIResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// filterVariant restricts a trace to a variant's direction coverage.
-func filterVariant(t trace.Trace, v Variant) trace.Trace {
-	return variantFilter(v).Apply(t)
 }
 
 // variantFilter maps a Table III variant to its direction filter.

@@ -38,7 +38,7 @@ func TableIV(scale Scale, seed uint64) (*TableIVResult, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: table IV: %w", err)
 		}
-		clf, test, err := buildClassifier(data, seed)
+		clf, test, err := buildClassifier(data, seed, 0)
 		if err != nil {
 			return fmt.Errorf("experiments: table IV %s: %w", prof.Name, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ltefp/internal/appmodel"
-	"ltefp/internal/artifact"
 	"ltefp/internal/attack/fingerprint"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/sniffer"
@@ -91,7 +90,7 @@ func WindowSweep(scale Scale, seed uint64) (*WindowSweepResult, error) {
 			}
 			data[i] = d
 		}
-		clf, test, err := buildClassifierWindowed(data, seed, w)
+		clf, test, err := buildClassifier(data, seed, w)
 		if err != nil {
 			return fmt.Errorf("experiments: window sweep %v: %w", w, err)
 		}
@@ -110,34 +109,6 @@ func WindowSweep(scale Scale, seed uint64) (*WindowSweepResult, error) {
 		return nil, err
 	}
 	return &WindowSweepResult{Points: points}, nil
-}
-
-// buildClassifierWindowed is buildClassifier with an explicit window size.
-func buildClassifierWindowed(data []appData, seed uint64, w time.Duration) (*fingerprint.Classifier, map[string][][]float64, error) {
-	ts := fingerprint.NewTrainingSet()
-	test := make(map[string][][]float64, len(data))
-	for _, d := range data {
-		train, held := d.trainTest()
-		if err := ts.Add(d.app.Name, train); err != nil {
-			return nil, nil, err
-		}
-		test[d.app.Name] = held
-	}
-	cfg := fingerprint.Config{
-		Window: w,
-		Stride: w,
-		Forest: forestConfig(seed),
-	}
-	train := fingerprint.TrainCached
-	if pipelineScope().Enabled() {
-		artifact.Default.CountBypass(artifact.KindForest)
-		train = fingerprint.Train
-	}
-	clf, err := train(ts, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return clf, test, nil
 }
 
 // String renders the sweep.

@@ -415,7 +415,7 @@ func TestDefenseOptionsAPI(t *testing.T) {
 	}
 	concealed, err := ltefp.Capture(ltefp.CaptureOptions{
 		App: "WhatsApp", Duration: 20 * time.Second, Seed: 12,
-		Defenses: ltefp.DefenseOptions{ConcealIdentities: true},
+		Defenses: ltefp.Defense{ConcealIdentities: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func TestDefenseOptionsAPI(t *testing.T) {
 	// refresh) cover far less of the session than the baseline's.
 	refreshed, err := ltefp.Capture(ltefp.CaptureOptions{
 		App: "Skype", Duration: 30 * time.Second, Seed: 13,
-		Defenses: ltefp.DefenseOptions{RNTIRefresh: 2 * time.Second},
+		Defenses: ltefp.Defense{RNTIRefresh: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

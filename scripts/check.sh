@@ -58,6 +58,12 @@ echo "== go test -race -run 'TestConcurrentSharedDir' ./internal/artifact"
 go test -race -run 'TestConcurrentSharedDir' ./internal/artifact
 echo "== go test -race -run 'TestWarmRunByteIdenticalToCold' ./internal/experiments"
 go test -race -run 'TestWarmRunByteIdenticalToCold' ./internal/experiments
+# Metrics runs share the artifact store's singleflight with every other
+# run, so concurrent metrics scopes meet inside it; gate the metrics
+# observation-only contract (cold golden, then a warm rerun that computes
+# nothing) under the detector explicitly — it skips under -short.
+echo "== go test -race -run 'TestMetricsDoNotChangeOutput' ./internal/experiments"
+go test -race -run 'TestMetricsDoNotChangeOutput' ./internal/experiments
 echo "== go test -race $short ./..."
 go test -race $short ./...
 # The e2e harness drives the real binaries as subprocesses (goldens,
