@@ -159,18 +159,6 @@ func BenchmarkCostModel(b *testing.B) {
 
 // --- ablation and extension benchmarks ---
 
-// BenchmarkDefenses runs the §VIII-B countermeasure ablation and reports
-// how much F1 the combined defenses cost the attacker.
-func BenchmarkDefenses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Defenses(experiments.Quick(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].WeightedF1-res.Rows[len(res.Rows)-1].WeightedF1, "f1-cost-to-attacker")
-	}
-}
-
 // BenchmarkWindowSweep runs the §VI window-size study and reports the best
 // width in milliseconds (the paper picks 100 ms).
 func BenchmarkWindowSweep(b *testing.B) {
@@ -273,7 +261,7 @@ func BenchmarkDefendedCapture60s(b *testing.B) {
 	}
 }
 
-// BenchmarkParetoSweep runs the quick-scale defense arms race (eight
+// BenchmarkParetoSweep runs the quick-scale defense arms race (nine
 // compositions, adaptive attacker retrained per composition) and reports
 // how much adaptive F1 the all-shaping composition costs the attacker.
 func BenchmarkParetoSweep(b *testing.B) {
@@ -332,7 +320,7 @@ func BenchmarkTableIIIWarm(b *testing.B) {
 
 // BenchmarkParetoSweepWarm is BenchmarkParetoSweep served from a
 // populated artifact store; its speedup over the cold sweep is the
-// BENCH_10 headline. The eight compositions re-extract nothing: shared
+// BENCH_10 headline. The nine compositions re-extract nothing: shared
 // scenarios dedupe through the capture tier and every dataset and
 // retrained forest loads from disk.
 func BenchmarkParetoSweepWarm(b *testing.B) {

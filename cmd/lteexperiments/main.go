@@ -10,9 +10,10 @@
 //
 // where -only is a comma-separated subset of
 // table3,table4,table5,table6,table7,table8,fig8,fig9,cost plus the
-// ablation/extension studies defenses,pareto,windowsweep,twsweep,
-// retraining,concealment. -metrics appends a per-run pipeline health report after
-// each experiment (never part of the table rendering itself), and
+// ablation/extension studies pareto,windowsweep,twsweep,retraining,
+// concealment (pareto's rows include the §VIII-B countermeasures). An
+// unknown name is an error. -metrics appends a per-run pipeline health
+// report after each experiment (never part of the table rendering itself), and
 // -debug-addr serves /debug/vars, /debug/pprof/ and /metrics while the
 // experiments run.
 package main
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -62,33 +64,6 @@ func run(args []string) error {
 		return fmt.Errorf("unknown scale %q (want quick or full)", *scaleName)
 	}
 	scale.Population = *population
-	if *cacheDir != "" {
-		if err := ltefp.SetCacheDir(*cacheDir); err != nil {
-			return err
-		}
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
-	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
-
-	var reg *obs.Registry
-	if *metrics || *debugAddr != "" {
-		reg = obs.NewRegistry()
-		experiments.SetMetrics(reg)
-		if *debugAddr != "" {
-			srv, err := obs.StartDebugServer(*debugAddr, reg)
-			if err != nil {
-				return err
-			}
-			defer func() { _ = srv.Close() }()
-			fmt.Fprintf(os.Stderr, "lteexperiments: debug server on http://%s/ (/debug/vars, /debug/pprof/, /metrics)\n", srv.Addr)
-		}
-	}
 
 	type experiment struct {
 		name string
@@ -119,13 +94,48 @@ func run(args []string) error {
 		{"fig8", func() (fmt.Stringer, error) { return experiments.Figure8(scale, *seed) }},
 		{"fig9", func() (fmt.Stringer, error) { return experiments.Figure9(scale, *seed) }},
 		{"cost", func() (fmt.Stringer, error) { return experiments.CostModel(), nil }},
-		{"defenses", func() (fmt.Stringer, error) { return experiments.Defenses(scale, *seed) }},
 		{"pareto", func() (fmt.Stringer, error) { return experiments.Pareto(scale, *seed) }},
 		{"windowsweep", func() (fmt.Stringer, error) { return experiments.WindowSweep(scale, *seed) }},
 		{"twsweep", func() (fmt.Stringer, error) { return experiments.TwSweep(scale, *seed) }},
 		{"retraining", func() (fmt.Stringer, error) { return experiments.Retraining(scale, *seed) }},
 		{"concealment", func() (fmt.Stringer, error) { return experiments.Concealment(scale, *seed) }},
 	}
+	want := map[string]bool{}
+	if *only != "" {
+		names := make([]string, len(runs))
+		for i, e := range runs {
+			names[i] = e.name
+		}
+		for _, name := range strings.Split(*only, ",") {
+			name = strings.TrimSpace(strings.ToLower(name))
+			if !slices.Contains(names, name) {
+				return fmt.Errorf("unknown experiment %q in -only (want a comma-separated subset of %s)", name, strings.Join(names, ","))
+			}
+			want[name] = true
+		}
+	}
+	selected := func(name string) bool { return len(want) == 0 || want[name] }
+
+	if *cacheDir != "" {
+		if err := ltefp.SetCacheDir(*cacheDir); err != nil {
+			return err
+		}
+	}
+
+	var reg *obs.Registry
+	if *metrics || *debugAddr != "" {
+		reg = obs.NewRegistry()
+		experiments.SetMetrics(reg)
+		if *debugAddr != "" {
+			srv, err := obs.StartDebugServer(*debugAddr, reg)
+			if err != nil {
+				return err
+			}
+			defer func() { _ = srv.Close() }()
+			fmt.Fprintf(os.Stderr, "lteexperiments: debug server on http://%s/ (/debug/vars, /debug/pprof/, /metrics)\n", srv.Addr)
+		}
+	}
+
 	for _, e := range runs {
 		if !selected(e.name) {
 			continue

@@ -167,6 +167,7 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"lteattack", []string{"presence", "-probes", "-1"}, "-probes must be positive"},
 		{"lteattack", []string{"presence", "-defenses", "bogus"}, "unknown defense token"},
 		{"lteexperiments", []string{"-population", "-3"}, "-population must not be negative"},
+		{"lteexperiments", []string{"-only", "defenses"}, "unknown experiment"},
 	}
 	for _, tc := range cases {
 		res := harness.Run(t, time.Minute, tc.name, tc.args...)

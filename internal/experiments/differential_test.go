@@ -129,3 +129,27 @@ func TestWarmRunByteIdenticalToCold(t *testing.T) {
 		}
 	}
 }
+
+// TestRetrainingStaticIsFigure8 pins that the retraining study's static
+// attacker is the Fig. 8 attacker: same days, same F-scores, bit for bit.
+func TestRetrainingStaticIsFigure8(t *testing.T) {
+	for _, seed := range []uint64{1, 3} {
+		fig8, err := Figure8(tinyScale(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := Retraining(tinyScale(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rt.Points) != len(fig8.Points) {
+			t.Fatalf("seed %d: retraining has %d days, Figure 8 %d", seed, len(rt.Points), len(fig8.Points))
+		}
+		for i, p := range fig8.Points {
+			if rt.Points[i].Day != p.Day || rt.Points[i].Static != p.F1 {
+				t.Errorf("seed %d point %d: retraining static (day %d, F1 %v) != Figure 8 (day %d, F1 %v)",
+					seed, i, rt.Points[i].Day, rt.Points[i].Static, p.Day, p.F1)
+			}
+		}
+	}
+}

@@ -40,71 +40,117 @@ func (r *Figure8Result) CrossedBelow(threshold float64) int {
 // Figure8 trains the classifier on day-1 T-Mobile traces and tests it
 // against streaming traces recorded on later days.
 func Figure8(scale Scale, seed uint64) (*Figure8Result, error) {
-	prof := operator.TMobile()
-	cfg := sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true}
-	// Drift measurement needs a classifier whose day-1 baseline is solid
-	// across fresh sessions, so the training campaign is doubled for the
-	// streaming apps under test.
-	trainScale := scale
-	trainScale.StreamSessions *= 2
-	data, err := collectSetting(prof, trainScale, 1, seed+7907, cfg)
+	h, err := newDriftHorizon(scale, seed)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: figure 8 training: %w", err)
+		return nil, err
 	}
-	clf, err := buildAllDataClassifier(data, seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figure 8 training: %w", err)
+	res := &Figure8Result{}
+	for di, day := range h.days {
+		res.Points = append(res.Points, Figure8Point{Day: day, F1: h.youtubeF1(h.static, di)})
 	}
+	return res, nil
+}
 
-	streaming := appmodel.ByCategory(appmodel.Streaming)
-	names := appmodel.Names()
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		idx[n] = i
+// driftHorizon is the Fig. 8 drift study shared by Figure8 and Retraining:
+// the static attacker (trained once on day-1 traces) and the per-day
+// streaming evaluation campaigns every attacker on the horizon is scored
+// against.
+type driftHorizon struct {
+	days []int
+	// static is the day-1 classifier the Fig. 8 series measures.
+	static *fingerprint.Classifier
+	// dayVecs holds each day's evaluation windows, indexed
+	// [day][streaming app][window][feature].
+	dayVecs   [][][][]float64
+	streaming []appmodel.App
+	names     []string
+	idx       map[string]int
+}
+
+// driftSniffer is the attacker's sniffer on the drift horizon.
+var driftSniffer = sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true}
+
+// newDriftHorizon trains the static attacker and collects every day's
+// evaluation campaign, in parallel across days.
+func newDriftHorizon(scale Scale, seed uint64) (*driftHorizon, error) {
+	static, err := driftTrain(scale, seed, 1, 7907)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: drift training: %w", err)
+	}
+	h := &driftHorizon{
+		static:    static,
+		streaming: appmodel.ByCategory(appmodel.Streaming),
+		names:     appmodel.Names(),
+	}
+	h.idx = make(map[string]int, len(h.names))
+	for i, n := range h.names {
+		h.idx[n] = i
 	}
 	step := scale.Fig8Step
 	if step < 1 {
 		step = 1
 	}
-	var days []int
 	for day := 1; day <= scale.Fig8Days; day += step {
-		days = append(days, day)
+		h.days = append(h.days, day)
 	}
-	points := make([]Figure8Point, len(days))
-	err = forEach(len(days), func(di int) error {
-		day := days[di]
-		conf := metrics.NewConfusion(names)
-		for ai, app := range streaming {
-			sessions := scale.StreamSessions
-			if sessions < 3 {
-				sessions = 3
-			}
+	sessions := scale.StreamSessions
+	if sessions < 3 {
+		sessions = 3
+	}
+	h.dayVecs = make([][][][]float64, len(h.days))
+	err = forEach(len(h.days), func(di int) error {
+		day := h.days[di]
+		perApp := make([][][]float64, len(h.streaming))
+		for ai, app := range h.streaming {
 			vecs, err := fingerprint.Collect(fingerprint.CollectSpec{
-				Profile:          prof,
+				Profile:          operator.TMobile(),
 				App:              app,
 				Sessions:         sessions,
 				SessionDur:       scale.StreamDur,
 				Day:              day,
 				Seed:             seed + uint64(day)*6701 + uint64(ai+1)*433,
-				Sniffer:          cfg,
+				Sniffer:          driftSniffer,
 				ApplyProfileLoss: true,
 				Population:       scale.Population,
 				Metrics:          pipelineScope(),
 			})
 			if err != nil {
-				return fmt.Errorf("experiments: figure 8 day %d: %w", day, err)
+				return fmt.Errorf("experiments: drift day %d: %w", day, err)
 			}
-			for _, pred := range clf.PredictBatch(vecs) {
-				conf.Add(idx[app.Name], idx[pred])
-			}
+			perApp[ai] = vecs
 		}
-		points[di] = Figure8Point{Day: day, F1: conf.F1(idx["YouTube"])}
+		h.dayVecs[di] = perApp
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Figure8Result{Points: points}, nil
+	return h, nil
+}
+
+// driftTrain trains an attacker on the given day's T-Mobile traces. Drift
+// measurement needs a classifier whose baseline is solid across fresh
+// sessions, so the training campaign is doubled for the streaming apps
+// under test.
+func driftTrain(scale Scale, seed uint64, day int, salt uint64) (*fingerprint.Classifier, error) {
+	trainScale := scale
+	trainScale.StreamSessions *= 2
+	data, err := collectSetting(operator.TMobile(), trainScale, day, seed+salt, driftSniffer)
+	if err != nil {
+		return nil, err
+	}
+	return buildAllDataClassifier(data, seed)
+}
+
+// youtubeF1 scores clf on day index di's evaluation campaign.
+func (h *driftHorizon) youtubeF1(clf *fingerprint.Classifier, di int) float64 {
+	conf := metrics.NewConfusion(h.names)
+	for ai, app := range h.streaming {
+		for _, pred := range clf.PredictBatch(h.dayVecs[di][ai]) {
+			conf.Add(h.idx[app.Name], h.idx[pred])
+		}
+	}
+	return conf.F1(h.idx["YouTube"])
 }
 
 // String renders the series with an ASCII trend.

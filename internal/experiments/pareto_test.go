@@ -6,10 +6,12 @@ import (
 )
 
 // TestParetoTiny runs the defense arms race at tiny scale and pins its
-// structural guarantees: the baseline anchors the overhead axis at zero,
-// the static and adaptive attackers coincide only where they share a
-// classifier, shaping defenses actually cost bytes, and the frontier
-// marking is non-empty and deterministic.
+// structural guarantees: the baseline anchors the overhead axis at zero and
+// the attribution axis at one, the static and adaptive attackers coincide
+// only where they share a classifier, shaping defenses actually cost bytes,
+// the §VIII-B countermeasures do what the paper says (RNTI refresh breaks
+// attribution, morphing costs air bytes), and the frontier marking is
+// non-empty and deterministic.
 func TestParetoTiny(t *testing.T) {
 	res, err := Pareto(tinyScale(), 3)
 	if err != nil {
@@ -25,13 +27,18 @@ func TestParetoTiny(t *testing.T) {
 	if base.Overhead != 0 {
 		t.Errorf("baseline overhead %v, want 0", base.Overhead)
 	}
+	if base.AttributionRatio != 1 {
+		t.Errorf("baseline attribution %v, want 1", base.AttributionRatio)
+	}
 	// On the baseline the static attacker IS the adaptive attacker (same
 	// classifier, same held-out windows); anywhere else they may differ.
 	if base.StaticF1 != base.AdaptiveF1 {
 		t.Errorf("baseline static F1 %v != adaptive F1 %v", base.StaticF1, base.AdaptiveF1)
 	}
+	byName := map[string]ParetoRow{}
 	costly, frontier := 0, 0
 	for _, row := range res.Rows {
+		byName[row.Name] = row
 		if row.Overhead > 0 {
 			costly++
 		}
@@ -44,6 +51,19 @@ func TestParetoTiny(t *testing.T) {
 	}
 	if costly == 0 {
 		t.Error("no composition reported positive byte overhead")
+	}
+	for _, name := range []string{"refresh=2s", "refresh=2s,morph"} {
+		row, ok := byName[name]
+		if !ok {
+			t.Errorf("no %s row", name)
+		} else if row.AttributionRatio >= 0.5 {
+			t.Errorf("%s kept %.3f of the baseline's attribution, want < 0.5", name, row.AttributionRatio)
+		}
+	}
+	if row, ok := byName["morph"]; !ok {
+		t.Error("no morph row")
+	} else if row.Overhead <= 0 {
+		t.Errorf("morph air overhead %v, want > 0", row.Overhead)
 	}
 	if frontier == 0 {
 		t.Error("no composition on the Pareto frontier")

@@ -125,12 +125,12 @@ func TestSweepHelpers(t *testing.T) {
 }
 
 func TestDefenseAndConcealmentRenders(t *testing.T) {
-	d := &DefensesResult{Rows: []DefenseRow{
-		{Name: "no defense", WeightedF1: 0.87, Windows: 100, AttributionRatio: 1},
-		{Name: "refresh", WeightedF1: 0.7, Windows: 7, AttributionRatio: 0.07},
+	p := &ParetoResult{Rows: []ParetoRow{
+		{Name: "none", StaticF1: 0.87, AdaptiveF1: 0.87, Windows: 100, AttributionRatio: 1},
+		{Name: "refresh=2s", StaticF1: 0.8, AdaptiveF1: 0.7, Windows: 7, AttributionRatio: 0.07},
 	}}
-	if s := d.String(); !strings.Contains(s, "refresh") || !strings.Contains(s, "7.0%") {
-		t.Errorf("defenses render:\n%s", s)
+	if s := p.String(); !strings.Contains(s, "attribution") || !strings.Contains(s, "refresh=2s") || !strings.Contains(s, "7.0%") {
+		t.Errorf("pareto render lost the attribution column:\n%s", s)
 	}
 	c := &ConcealmentResult{Rows: []ConcealmentRow{
 		{Name: "LTE", Bindings: 10, AttributedFraction: 1},

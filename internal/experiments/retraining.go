@@ -3,18 +3,13 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"ltefp/internal/appmodel"
-	"ltefp/internal/attack/fingerprint"
-	"ltefp/internal/lte/operator"
-	"ltefp/internal/ml/metrics"
-	"ltefp/internal/sniffer"
 )
 
 // RetrainingPoint is one day of the maintained-attacker sweep.
 type RetrainingPoint struct {
 	Day int
-	// Static is the day-1 classifier's YouTube F-score on this day.
+	// Static is the day-1 classifier's YouTube F-score on this day — the
+	// Fig. 8 series.
 	Static float64
 	// Maintained is the retraining attacker's score on the same traces.
 	Maintained float64
@@ -35,97 +30,24 @@ type RetrainingResult struct {
 	Retrainings int
 }
 
-// Retraining runs the static and maintained attackers side by side over
-// the Fig. 8 drift horizon.
+// Retraining runs the maintained attacker over the Fig. 8 drift horizon,
+// side by side with Figure 8's static attacker on the same day traces.
 func Retraining(scale Scale, seed uint64) (*RetrainingResult, error) {
-	prof := operator.TMobile()
-	cfg := sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true}
-	trainScale := scale
-	trainScale.StreamSessions *= 2
-
-	trainAt := func(day int, salt uint64) (*fingerprint.Classifier, error) {
-		data, err := collectSetting(prof, trainScale, day, seed+salt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return buildAllDataClassifier(data, seed)
-	}
-	static, err := trainAt(1, 104729)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: retraining: %w", err)
-	}
-	maintained := static
-
-	names := appmodel.Names()
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		idx[n] = i
-	}
-	streaming := appmodel.ByCategory(appmodel.Streaming)
-
-	step := scale.Fig8Step
-	if step < 1 {
-		step = 1
-	}
-	var days []int
-	for day := 1; day <= scale.Fig8Days; day += step {
-		days = append(days, day)
-	}
-
-	// Both attackers are scored against the same day traces (identical
-	// seeds), so each day's evaluation campaign is collected once up front —
-	// in parallel across days — and shared between them.
-	dayVecs := make([][][][]float64, len(days)) // [day][streaming app][window][feature]
-	err = forEach(len(days), func(di int) error {
-		day := days[di]
-		perApp := make([][][]float64, len(streaming))
-		for ai, app := range streaming {
-			sessions := scale.StreamSessions
-			if sessions < 3 {
-				sessions = 3
-			}
-			vecs, err := fingerprint.Collect(fingerprint.CollectSpec{
-				Profile:          prof,
-				App:              app,
-				Sessions:         sessions,
-				SessionDur:       scale.StreamDur,
-				Day:              day,
-				Seed:             seed + uint64(day)*6701 + uint64(ai+1)*433,
-				Sniffer:          cfg,
-				ApplyProfileLoss: true,
-				Population:       scale.Population,
-				Metrics:          pipelineScope(),
-			})
-			if err != nil {
-				return fmt.Errorf("experiments: retraining day %d: %w", day, err)
-			}
-			perApp[ai] = vecs
-		}
-		dayVecs[di] = perApp
-		return nil
-	})
+	h, err := newDriftHorizon(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	evalDay := func(clf *fingerprint.Classifier, di int) float64 {
-		conf := metrics.NewConfusion(names)
-		for ai, app := range streaming {
-			for _, pred := range clf.PredictBatch(dayVecs[di][ai]) {
-				conf.Add(idx[app.Name], idx[pred])
-			}
-		}
-		return conf.F1(idx["YouTube"])
-	}
+	maintained := h.static
 
 	// The retrain decisions chain day to day, so this loop stays sequential.
 	res := &RetrainingResult{}
 	needRetrain := false
-	for di, day := range days {
+	for di, day := range h.days {
 		retrained := false
 		if needRetrain {
 			// The attacker re-runs its collection campaign against the
 			// current app versions — the Retrain_cost(⑩) purchase.
-			fresh, err := trainAt(day, 104729+uint64(day)*37)
+			fresh, err := driftTrain(scale, seed, day, 104729+uint64(day)*37)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: retraining day %d: %w", day, err)
 			}
@@ -134,14 +56,13 @@ func Retraining(scale Scale, seed uint64) (*RetrainingResult, error) {
 			retrained = true
 			needRetrain = false
 		}
-		staticF1 := evalDay(static, di)
-		maintainedF1 := evalDay(maintained, di)
+		maintainedF1 := h.youtubeF1(maintained, di)
 		if maintainedF1 < 0.70 {
 			needRetrain = true
 		}
 		res.Points = append(res.Points, RetrainingPoint{
 			Day:        day,
-			Static:     staticF1,
+			Static:     h.youtubeF1(h.static, di),
 			Maintained: maintainedF1,
 			Retrained:  retrained,
 		})
