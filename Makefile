@@ -42,3 +42,4 @@ fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz 'FuzzDefenseConfig' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/artifact -run '^$$' -fuzz 'FuzzArtifactDecode' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime $(FUZZTIME)

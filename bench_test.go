@@ -10,6 +10,8 @@ package ltefp_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -424,6 +426,31 @@ func TestFabricSteadyStateAllocBudget(t *testing.T) {
 	t.Logf("steady-state fabric advance: %.0f allocs per 2 sim-seconds (budget %d)", per, budget)
 }
 
+// pop10kScenario is the population-scale capture the Pop10k benchmark and
+// tests share: a 60-second commercial-cell YouTube victim session on a cell
+// with 10 000 background UEs under a metro-style 15-minute inactivity timer.
+func pop10kScenario(tb testing.TB, seed uint64) capture.Scenario {
+	tb.Helper()
+	app, err := appmodel.ByName("YouTube")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	profile := operator.TMobile()
+	// A metro idle timer longer than the run: attached population stays
+	// resident instead of being released two seconds after attach churn.
+	profile.InactivityTimeout = 15 * time.Minute
+	return capture.Scenario{
+		Seed:  seed,
+		Cells: []capture.Cell{{ID: 1, Profile: profile}},
+		Sessions: []capture.Session{{
+			UE: "victim", CellID: 1, App: app,
+			Start: 500 * time.Millisecond, Duration: time.Minute,
+		}},
+		Population: 10_000,
+		Settle:     2 * time.Second,
+	}
+}
+
 // BenchmarkCapture60sPop10k is the population-scale headline: the same
 // 60-second commercial-cell victim session as BenchmarkCapture60s, but
 // with 10 000 mostly-idle background UEs attached to the cell under a
@@ -434,26 +461,6 @@ func TestFabricSteadyStateAllocBudget(t *testing.T) {
 // through the reference dense walk (SetDenseReference), whose per-TTI
 // cost is O(attached). The ratio of the two is the tentpole speedup.
 func BenchmarkCapture60sPop10k(b *testing.B) {
-	app, err := appmodel.ByName("YouTube")
-	if err != nil {
-		b.Fatal(err)
-	}
-	profile := operator.TMobile()
-	// A metro idle timer longer than the run: attached population stays
-	// resident instead of being released two seconds after attach churn.
-	profile.InactivityTimeout = 15 * time.Minute
-	scenario := func(seed uint64) capture.Scenario {
-		return capture.Scenario{
-			Seed:  seed,
-			Cells: []capture.Cell{{ID: 1, Profile: profile}},
-			Sessions: []capture.Session{{
-				UE: "victim", CellID: 1, App: app,
-				Start: 500 * time.Millisecond, Duration: time.Minute,
-			}},
-			Population: 10_000,
-			Settle:     2 * time.Second,
-		}
-	}
 	simSeconds := (500*time.Millisecond + time.Minute + 2*time.Second).Seconds()
 	for _, mode := range []struct {
 		name  string
@@ -463,7 +470,7 @@ func BenchmarkCapture60sPop10k(b *testing.B) {
 			prev := enb.SetDenseReference(mode.dense)
 			defer enb.SetDenseReference(prev)
 			for i := 0; i < b.N; i++ {
-				if _, err := capture.Run(scenario(uint64(i + 1))); err != nil {
+				if _, err := capture.Run(pop10kScenario(b, uint64(i+1))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -490,22 +497,7 @@ func TestCapturePop10kAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	app, err := appmodel.ByName("YouTube")
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile := operator.TMobile()
-	profile.InactivityTimeout = 15 * time.Minute
-	scenario := capture.Scenario{
-		Seed:  1,
-		Cells: []capture.Cell{{ID: 1, Profile: profile}},
-		Sessions: []capture.Session{{
-			UE: "victim", CellID: 1, App: app,
-			Start: 500 * time.Millisecond, Duration: time.Minute,
-		}},
-		Population: 10_000,
-		Settle:     2 * time.Second,
-	}
+	scenario := pop10kScenario(t, 1)
 	per := testing.AllocsPerRun(3, func() {
 		if _, err := capture.Run(scenario); err != nil {
 			t.Fatal(err)
@@ -516,6 +508,42 @@ func TestCapturePop10kAllocBudget(t *testing.T) {
 		t.Fatalf("population capture allocates %.0f per run, budget %d", per, budget)
 	}
 	t.Logf("population capture: %.0f allocs per run (budget %d)", per, budget)
+}
+
+// TestCapturePop10kDigest pins the output of the population-scale capture
+// byte for byte: a SHA-256 over its records, identity events, pagings,
+// health counters and the victim's identity-mapped trace, at two seeds.
+// On a congested 10 000-UE cell most simulator events are PDCCH-blocked
+// control retries, so this is the scenario where a change to the event
+// queue's firing order would show first.
+func TestCapturePop10kDigest(t *testing.T) {
+	want := map[uint64]string{
+		1: "3650b14bfbe92993a5b61285d1d8f5bb0f8f5b1ba675d7d9404e1a3c8ec4b4f0",
+		2: "61cd887ce934198dd44e60435622bbaa4a9e94885fd69656c5ebd82db7cef47d",
+	}
+	for _, seed := range []uint64{1, 2} {
+		res, err := capture.Run(pop10kScenario(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, r := range res.Records {
+			fmt.Fprintf(h, "%v\n", r)
+		}
+		for _, e := range res.Events {
+			fmt.Fprintf(h, "%v\n", e)
+		}
+		for _, p := range res.Pagings {
+			fmt.Fprintf(h, "%v\n", p)
+		}
+		fmt.Fprintf(h, "health=%+v\n", res.Health)
+		for _, r := range res.UserTrace("victim") {
+			fmt.Fprintf(h, "%v\n", r)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[seed] {
+			t.Errorf("seed %d: capture digest %s, want %s", seed, got, want[seed])
+		}
+	}
 }
 
 // BenchmarkFabric128CellsPop1k is BenchmarkFabric128Cells at population

@@ -36,9 +36,9 @@ func FuzzArtifactDecode(f *testing.F) {
 	key := keyOf("fuzz-entry")
 	valid := fuzzEntryBytes(f, testCodec, key, []byte("fuzz seed payload"))
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                       // truncation
-	f.Add([]byte{})                                   // empty file
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))             // garbage
+	f.Add(valid[:len(valid)/2])           // truncation
+	f.Add([]byte{})                       // empty file
+	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // garbage
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x20
 	f.Add(flipped) // bit flip

@@ -8,8 +8,8 @@ import (
 	"ltefp/internal/identity"
 	"ltefp/internal/lte/dci"
 	"ltefp/internal/lte/rnti"
-	"ltefp/internal/sniffer"
 	"ltefp/internal/snapshot"
+	"ltefp/internal/sniffer"
 	"ltefp/internal/trace"
 )
 

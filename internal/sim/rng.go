@@ -3,6 +3,13 @@
 // distributions the traffic and channel models need, and a time-ordered
 // event queue driven at 1 ms (subframe) granularity.
 //
+// The queue's ordering contract: PopDue(now) fires every pending event with
+// At <= now in (At, seq) order, seq being push order, so events due at the
+// same instant fire in the order they were pushed. Internally an event
+// belongs to slot ceil(At/TTI), the subframe edge at which a per-TTI
+// PopDue fires it; the slot decides where the event waits, never the
+// order it fires in.
+//
 // Every stochastic component in this repository receives an explicit *RNG;
 // there is no global random state. Reproducing an experiment is therefore a
 // matter of reusing its seed.

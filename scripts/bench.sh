@@ -21,7 +21,7 @@ micro='BenchmarkForestTrain$|BenchmarkForestPredict$|BenchmarkForestPredictBatch
 raw=$(go test -run '^$' -bench "$micro" -benchmem -benchtime 2s .
 	go test -run '^$' -bench 'BenchmarkCheckpointWrite$|BenchmarkCheckpointRestore$' -benchmem -benchtime 2s ./internal/stream
 	go test -run '^$' -bench 'BenchmarkObs' -benchmem -benchtime 1s ./internal/obs
-	go test -run '^$' -bench 'BenchmarkQueuePushPop$' -benchmem -benchtime 2s ./internal/sim
+	go test -run '^$' -bench '^BenchmarkQueue' -benchmem -benchtime 2s ./internal/sim
 	go test -run '^$' -bench 'BenchmarkNetworkStep$' -benchmem -benchtime 2s ./internal/lte/network
 	go test -run '^$' -bench 'BenchmarkCapture60s$|BenchmarkCapture60sObs$|BenchmarkDefendedCapture60s$|BenchmarkStream60s$' -benchmem -benchtime 5x .
 	go test -run '^$' -bench 'BenchmarkFabric128Cells$' -benchmem -benchtime 5x .

@@ -1,7 +1,7 @@
 #!/bin/sh
-# check.sh — the repository's gate: vet, build, and the full test suite
-# under the race detector. The forest trainer, batch prediction, and the
-# experiment runners are all concurrent, so -race is not optional here.
+# check.sh — the repository's gate: gofmt, vet, build, and the full test
+# suite under the race detector. The forest trainer, batch prediction, and
+# the experiment runners are all concurrent, so -race is not optional here.
 #
 # Usage: scripts/check.sh [-short]
 #   -short  skip the multi-second Quick-scale golden tests
@@ -13,6 +13,13 @@ if [ "${1:-}" = "-short" ]; then
 	short="-short"
 fi
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):"
+	echo "$unformatted"
+	exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
