@@ -28,7 +28,6 @@ import (
 	"ltefp/internal/features"
 	"ltefp/internal/lte/crc"
 	"ltefp/internal/lte/dci"
-	"ltefp/internal/lte/enb"
 	"ltefp/internal/lte/network"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/ml/dataset"
@@ -456,28 +455,18 @@ func pop10kScenario(tb testing.TB, seed uint64) capture.Scenario {
 // with 10 000 mostly-idle background UEs attached to the cell under a
 // metro-style 15-minute inactivity timer, so every one of them stays
 // resident in the scheduler for the whole run while only ~1% are ever
-// concurrently active. The active sub-benchmark exercises the O(active)
-// scheduling ring and timer wheel; dense re-runs the identical scenario
-// through the reference dense walk (SetDenseReference), whose per-TTI
-// cost is O(attached). The ratio of the two is the tentpole speedup.
+// concurrently active. It exercises the O(active) scheduling ring and the
+// inactivity deadlines parked on the cell's event queue, so a TTI costs
+// O(active UEs), not O(attached).
 func BenchmarkCapture60sPop10k(b *testing.B) {
 	simSeconds := (500*time.Millisecond + time.Minute + 2*time.Second).Seconds()
-	for _, mode := range []struct {
-		name  string
-		dense bool
-	}{{"active", false}, {"dense", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := enb.SetDenseReference(mode.dense)
-			defer enb.SetDenseReference(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := capture.Run(pop10kScenario(b, uint64(i+1))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ttis := float64(b.N) * simSeconds * 1000
-			b.ReportMetric(ttis/b.Elapsed().Seconds(), "TTI/sec")
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := capture.Run(pop10kScenario(b, uint64(i+1))); err != nil {
+			b.Fatal(err)
+		}
 	}
+	ttis := float64(b.N) * simSeconds * 1000
+	b.ReportMetric(ttis/b.Elapsed().Seconds(), "TTI/sec")
 }
 
 // TestCapturePop10kAllocBudget pins the allocation cost of one

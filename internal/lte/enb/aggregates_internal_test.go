@@ -13,7 +13,7 @@ import (
 )
 
 // checkAggregates compares the incrementally-maintained aggregates against
-// a dense walk over the context table — the walk observeTick used to pay
+// a full walk over the context table — the walk observeTick used to pay
 // every sample. Released contexts linger in c.order until the next Tick
 // compacts them; they are invisible to the incremental counters and to any
 // reader (observeTick runs post-compaction), so the walk skips them too.
@@ -30,13 +30,13 @@ func checkAggregates(t *testing.T, c *Cell) {
 		}
 	}
 	if depth != c.aggQueue {
-		t.Fatalf("cell %d: aggQueue = %d, dense walk = %d", c.ID, c.aggQueue, depth)
+		t.Fatalf("cell %d: aggQueue = %d, full walk = %d", c.ID, c.aggQueue, depth)
 	}
 	if connected != c.nConnected {
-		t.Fatalf("cell %d: nConnected = %d, dense walk = %d", c.ID, c.nConnected, connected)
+		t.Fatalf("cell %d: nConnected = %d, full walk = %d", c.ID, c.nConnected, connected)
 	}
 	if got := c.Connected(); got != connected {
-		t.Fatalf("cell %d: Connected() = %d, dense walk = %d", c.ID, got, connected)
+		t.Fatalf("cell %d: Connected() = %d, full walk = %d", c.ID, got, connected)
 	}
 }
 
@@ -44,7 +44,7 @@ func checkAggregates(t *testing.T, c *Cell) {
 // mutation and state transition the cell has — random access, SR-delayed
 // uplink, paging-triggered downlink, grants, drains, inactivity release,
 // and a handover out of one cell into the other — asserting after every
-// subframe that the incremental aggregates equal the dense walk.
+// subframe that the incremental aggregates equal the full walk.
 func TestAggregatesMatchWalk(t *testing.T) {
 	prof := operator.TMobile()
 	prof.InactivityTimeout = 150 * time.Millisecond

@@ -61,21 +61,21 @@ type ueCtx struct {
 	secured      bool // AS security active: no more plaintext
 
 	// ordIdx is this context's current position in c.order, kept in step
-	// by enroll and compaction so the active ring can reproduce the dense
-	// walk's rotation order without walking.
+	// by enroll and compaction. The active ring is sorted by it, and every
+	// per-context order rule (round-robin rotation, deadline processing)
+	// is defined by it.
 	ordIdx int
 	// inRing marks membership in c.active.
 	inRing bool
-	// idleArmed marks a live inactivity deadline on the timer wheel for
-	// this tenancy, keeping the chain at one entry per context: without
-	// it, every queue drain of a chatty UE would park another
-	// soon-to-be-stale entry in the wheel.
+	// idleArmed marks a pending inactivity deadline on the control queue
+	// for this tenancy, keeping the chain at one deadline per context:
+	// without it, every queue drain of a chatty UE would park another
+	// soon-to-be-stale deadline on the queue.
 	idleArmed bool
 	// gen counts tenancies of this (free-list-recycled) allocation.
-	// Deferred closures and timer-wheel entries capture the generation
-	// they were created under and go inert if the context has since been
-	// recycled for a different UE. The dense reference never recycles, so
-	// there the guards never trip.
+	// Deferred closures and deadlines capture the generation they were
+	// created under and go inert if the context has since been recycled
+	// for a different UE.
 	gen uint32
 }
 
@@ -101,7 +101,7 @@ type Cell struct {
 	// active is the active-set scheduling ring: the contexts in connected
 	// state with nonzero queues, sorted by ordIdx. scheduleData visits
 	// only these, so a TTI costs O(active UEs) while thousands of parked
-	// connections cost nothing. Unused by the dense reference.
+	// connections cost nothing.
 	active []*ueCtx
 	// free recycles released ueCtx allocations (their gen bumped) so
 	// population-scale churn does not allocate per connection.
@@ -110,12 +110,12 @@ type Cell struct {
 	// compaction scans only from the lowest released slot and skips
 	// entirely on ticks that released nothing.
 	pendingRelease []*ueCtx
-	// wheel holds the inactivity-release and RNTI-refresh deadlines that
-	// the dense reference discovers by walking every context every tick.
-	wheel timerWheel
-	// dense selects the retained O(attached) reference scheduler
-	// (see SetDenseReference).
-	dense bool
+	// dueIdle and dueRefresh collect the inactivity and refresh deadlines
+	// that fired during this tick's ctl.PopDue; fireIdle and fireRefresh
+	// act on them after data scheduling (see deadline in sched.go).
+	dueIdle, dueRefresh []*deadline
+	// deadlineFree recycles fired deadline payloads.
+	deadlineFree []*deadline
 	// lastTick is the subframe index of the most recent Tick, -1 before
 	// the first; serial-phase code uses it to bound lazy CQI catch-up.
 	lastTick int64
@@ -270,22 +270,6 @@ func (c *Cell) SetMetrics(sc obs.Scope) {
 	}
 }
 
-// denseReference, when true, makes NewCell build cells that schedule with
-// the retained O(attached-UEs) dense-walk implementation instead of the
-// active-set ring and timer wheel. The two produce bit-for-bit identical
-// subframes; the reference exists so differential tests and baseline
-// benchmarks can pin that equivalence. Toggle only from tests and
-// benchmarks, never while cells are constructed concurrently.
-var denseReference bool
-
-// SetDenseReference switches the scheduler implementation used by
-// subsequently constructed cells and returns the previous setting.
-func SetDenseReference(v bool) (prev bool) {
-	prev = denseReference
-	denseReference = v
-	return prev
-}
-
 // NewCell returns an empty cell.
 func NewCell(id int, p operator.Profile, core *epc.Core, rng *sim.RNG) (*Cell, error) {
 	if err := p.Validate(); err != nil {
@@ -301,10 +285,8 @@ func NewCell(id int, p operator.Profile, core *epc.Core, rng *sim.RNG) (*Cell, e
 		byUE:      make(map[*ue.UE]*ueCtx),
 		dlPending: make(map[*ue.UE]int),
 		camped:    make(map[*ue.UE]bool),
-		dense:     denseReference,
 		lastTick:  -1,
 	}
-	c.wheel.cur = -1
 	return c, nil
 }
 
@@ -370,22 +352,22 @@ func (c *Cell) newCtx() *ueCtx {
 }
 
 // enroll appends a context to the scheduling order and starts its UE's
-// lazy channel-walk accrual at the next epoch the dense reference would
-// step it.
+// lazy channel-walk accrual. While a UE holds a context, its channel
+// steps 100 ms at every multiple-of-100 subframe, after that subframe's
+// scheduling and releases; the first step owed is the first such epoch
+// past cqiLimit.
 func (c *Cell) enroll(ctx *ueCtx) {
 	ctx.ordIdx = len(c.order)
 	c.order = append(c.order, ctx)
-	if !c.dense {
-		next := c.cqiLimit() + 1
-		ctx.ue.StartCQIAccrual((next + 99) / 100 * 100)
-	}
+	next := c.cqiLimit() + 1
+	ctx.ue.StartCQIAccrual((next + 99) / 100 * 100)
 }
 
 // cqiLimit is the highest subframe index whose channel-walk epoch a CQI
-// read at this moment must reflect. The dense reference steps channels
-// late in the tick — after data scheduling and releases — so reads inside
-// a Tick see epochs strictly before the current subframe, and reads
-// between ticks (fabric serial phase) see epochs up to the last one.
+// read at this moment must reflect. An epoch's step lands at the end of
+// its subframe — after data scheduling and releases — so reads inside a
+// Tick see epochs strictly before the current subframe, and reads between
+// ticks (fabric serial phase) see epochs up to the last one.
 func (c *Cell) cqiLimit() int64 {
 	if c.cur != nil {
 		return c.sf.Index - 1
@@ -393,16 +375,16 @@ func (c *Cell) cqiLimit() int64 {
 	return c.lastTick
 }
 
-// SyncChannel replays any channel-walk epochs the cell's lazy schedule
-// still owes the UE, so out-of-band readers (the network's session-quality
-// sampling) observe the same CQI the dense reference would show.
+// SyncChannel replays every channel-walk epoch up to cqiLimit that the
+// cell's lazy schedule still owes the UE, so out-of-band readers (the
+// network's session-quality sampling) observe the CQI as of this moment.
 func (c *Cell) SyncChannel(u *ue.UE) { u.CatchUpCQI(c.cqiLimit()) }
 
 // ringAdd inserts a connected context with pending bytes into the active
 // scheduling ring, keeping it sorted by scheduling-order position. No-op
-// for the dense reference and for contexts already present.
+// for contexts already present.
 func (c *Cell) ringAdd(ctx *ueCtx) {
-	if c.dense || ctx.inRing {
+	if ctx.inRing {
 		return
 	}
 	i, n := 0, len(c.active)
@@ -442,29 +424,29 @@ func (c *Cell) ringRemove(ctx *ueCtx) {
 }
 
 // armIdle schedules the inactivity-release deadline for a connected
-// context whose queues are empty: the first tick at which the dense walk's
-// now-lastActivity >= timeout test would pass. Each tenancy keeps at most
-// one live entry: while one is armed, later activity just moves
-// lastActivity, and the entry re-arms itself at the new deadline when it
+// context whose queues are empty: subframe
+// ceil((lastActivity+InactivityTimeout)/TTI), the first tick where
+// now-lastActivity >= InactivityTimeout. Each tenancy keeps at most one
+// pending deadline: while one is armed, later activity just moves
+// lastActivity, and the deadline re-arms itself at the new time when it
 // fires and fails re-validation (see fireIdle).
 func (c *Cell) armIdle(ctx *ueCtx) {
-	if c.dense || ctx.state != ctxConnected || ctx.idleArmed {
+	if ctx.state != ctxConnected || ctx.idleArmed {
 		return
 	}
 	ctx.idleArmed = true
-	at := int64((ctx.lastActivity + c.Profile.InactivityTimeout + sim.TTI - 1) / sim.TTI)
-	c.wheel.arm(ctx, timerIdle, at)
+	c.arm(ctx, deadlineIdle, int64((ctx.lastActivity+c.Profile.InactivityTimeout+sim.TTI-1)/sim.TTI))
 }
 
-// armRefresh schedules the next C-RNTI refresh occasion: the first
-// multiple-of-32 tick at which the RNTI's age exceeds the profile period,
-// matching the dense walk's every-32-TTI scan.
+// armRefresh schedules the next C-RNTI refresh occasion. Occasions are
+// the multiple-of-32 subframes, and a connected context's C-RNTI is
+// replaced at the first occasion where now-rntiAge >= RNTIRefreshEvery.
 func (c *Cell) armRefresh(ctx *ueCtx) {
-	if c.dense || c.Profile.RNTIRefreshEvery <= 0 || ctx.state != ctxConnected {
+	if c.Profile.RNTIRefreshEvery <= 0 || ctx.state != ctxConnected {
 		return
 	}
 	first := int64((ctx.rntiAge + c.Profile.RNTIRefreshEvery + sim.TTI - 1) / sim.TTI)
-	c.wheel.arm(ctx, timerRefresh, (first+31)/32*32)
+	c.arm(ctx, deadlineRefresh, (first+31)/32*32)
 }
 
 // DeliverDL hands downlink payload for a UE to the cell (as arriving from
@@ -498,7 +480,8 @@ func (c *Cell) DeliverUL(u *ue.UE, bytes int, now time.Duration) {
 		c.ctl.Push(now+6*sim.TTI, func() {
 			// The context may have been released — and possibly recycled for
 			// another UE — during the SR cycle; the stale request then dies
-			// here, exactly as the dense reference's compaction hides it.
+			// here: bytes are queued only on the tenancy that requested them,
+			// and only while it is connected.
 			if ctx.gen != g || ctx.state != ctxConnected {
 				return
 			}
@@ -725,7 +708,9 @@ func (c *Cell) BeginHandover(u *ue.UE, targetCellID int, now time.Duration) erro
 	c.ringRemove(ctx)
 	// With its queues carried off, the context is idle-eligible: should the
 	// release below somehow not run (it always does today), the inactivity
-	// deadline still reclaims it, exactly as the dense walk would.
+	// deadline still reclaims it at the first tick where
+	// now-lastActivity >= InactivityTimeout. That tick may already have
+	// passed; the deadline then fires at the next one.
 	c.armIdle(ctx)
 	g := ctx.gen
 	c.ctl.Push(now+2*sim.TTI, func() {
@@ -812,14 +797,12 @@ func (c *Cell) releaseQuiet(ctx *ueCtx) {
 	c.byRNTI[ctx.rnti] = nil
 	delete(c.byUE, ctx.ue)
 	c.alloc.Release(ctx.rnti)
-	if !c.dense {
-		c.ringRemove(ctx)
-		// Settle the channel-walk epochs owed up to the point the dense
-		// reference would last have stepped this UE, then freeze the walk.
-		ctx.ue.CatchUpCQI(c.cqiLimit())
-		ctx.ue.StopCQIAccrual()
-		c.pendingRelease = append(c.pendingRelease, ctx)
-	}
+	c.ringRemove(ctx)
+	// A UE's channel stops stepping with its context: settle the epochs
+	// owed up to cqiLimit, then freeze the walk.
+	ctx.ue.CatchUpCQI(c.cqiLimit())
+	ctx.ue.StopCQIAccrual()
+	c.pendingRelease = append(c.pendingRelease, ctx)
 	// ctx is compacted out of c.order at the end of the current Tick.
 }
 

@@ -9,23 +9,55 @@ import (
 	"ltefp/internal/lte/rnti"
 	"ltefp/internal/lte/rrc"
 	"ltefp/internal/lte/ue"
+	"ltefp/internal/sim"
 )
 
+// connectedAt ticks the rig until u connects and returns the activation
+// time (the now of the tick that connected it).
+func connectedAt(r *rig, u *ue.UE) time.Duration {
+	for end := r.now + 50*time.Millisecond; r.now < end; r.now += sim.TTI {
+		r.cell.Tick(r.now)
+		if u.State == ue.Connected {
+			at := r.now
+			r.now += sim.TTI
+			return at
+		}
+	}
+	return -1
+}
+
+// TestRNTIRefreshDefense checks the §VIII-B countermeasure: a connected
+// UE's C-RNTI is replaced, unlinkably, on the first 32-subframe refresh
+// occasion at which it has aged past the profile period.
 func TestRNTIRefreshDefense(t *testing.T) {
 	p := operator.Lab()
-	p.RNTIRefreshEvery = 300 * time.Millisecond
+	// Off the TTI grid, so the occasion's rounding is exercised.
+	p.RNTIRefreshEvery = 300*time.Millisecond + 300*time.Microsecond
 	r := newRig(t, p)
 	u := r.newUE("a")
 	r.cell.DeliverUL(u, 100, r.now)
-	r.run(50 * time.Millisecond)
+	rntiAge := connectedAt(r, u) // the first C-RNTI's assignment
 	if u.State != ue.Connected {
 		t.Fatal("UE did not connect")
 	}
 	first := u.RNTI
-	// Keep the connection busy so inactivity release never fires.
+	// Keep the connection busy so inactivity release never fires, and find
+	// the subframe of the first RNTI change: the first multiple of 32 at
+	// or past rntiAge+RNTIRefreshEvery.
+	wantSF := (int64((rntiAge+p.RNTIRefreshEvery+sim.TTI-1)/sim.TTI) + 31) / 32 * 32
+	changedAt := int64(-1)
 	for i := 0; i < 20; i++ {
 		r.cell.DeliverDL(u, 2000, r.now)
-		r.run(100 * time.Millisecond)
+		for end := r.now + 100*time.Millisecond; r.now < end; r.now += sim.TTI {
+			r.cell.Tick(r.now)
+			if changedAt < 0 && u.RNTI != first {
+				changedAt = int64(r.now / sim.TTI)
+			}
+		}
+	}
+	if changedAt != wantSF {
+		t.Fatalf("first C-RNTI change at subframe %d, want %d (activation %v + period %v)",
+			changedAt, wantSF, rntiAge, p.RNTIRefreshEvery)
 	}
 	if u.State != ue.Connected {
 		t.Fatal("UE dropped mid-session")

@@ -4,11 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"ltefp/internal/lte/crc"
 	"ltefp/internal/lte/dci"
 	"ltefp/internal/lte/enb"
 	"ltefp/internal/lte/epc"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/lte/phy"
+	"ltefp/internal/lte/rnti"
 	"ltefp/internal/lte/rrc"
 	"ltefp/internal/lte/ue"
 	"ltefp/internal/sim"
@@ -196,20 +198,69 @@ func TestLabGrantsAreTight(t *testing.T) {
 	t.Fatal("no data grant observed")
 }
 
+// releasedWith reports whether sf carries the encrypted RRC release on
+// r: a plaintext-free format 1A assignment whose CRC is masked with r.
+func releasedWith(sf *phy.Subframe, r rnti.RNTI) bool {
+	for i := range sf.PDCCH {
+		tx := &sf.PDCCH[i]
+		if tx.Plaintext != nil || tx.MaskedCRC != crc.Attach(tx.Payload, uint16(r)) {
+			continue
+		}
+		if msg, err := dci.Parse(tx.Payload); err == nil && msg.Format == dci.Format1A {
+			return true
+		}
+	}
+	return false
+}
+
+// TestInactivityRelease pins the release timing: a connected context with
+// empty queues is released at the first subframe where
+// now-lastActivity >= InactivityTimeout — subframe
+// ceil((lastActivity+InactivityTimeout)/TTI), not one earlier — with the
+// encrypted release on its C-RNTI in that same subframe. lastActivity is
+// the connection's last grant, or its activation before any grant.
 func TestInactivityRelease(t *testing.T) {
 	p := operator.Lab()
-	p.InactivityTimeout = 200 * time.Millisecond
+	// Off the TTI grid, so the deadline's rounding is exercised.
+	p.InactivityTimeout = 200*time.Millisecond + 300*time.Microsecond
 	r := newRig(t, p)
 	u := r.newUE("a")
 	r.cell.DeliverUL(u, 100, r.now)
-	r.run(50 * time.Millisecond)
-	if u.State != ue.Connected {
-		t.Fatal("UE did not connect")
+	var lastActivity time.Duration
+	var grants int64
+	var first rnti.RNTI
+	releasedAt := int64(-1)
+	for end := r.now + time.Second; r.now < end && releasedAt < 0; r.now += sim.TTI {
+		was := u.State
+		r.cell.Tick(r.now)
+		dl, ul, _, _ := r.cell.Stats()
+		if dl+ul != grants || (was != ue.Connected && u.State == ue.Connected) {
+			grants, lastActivity = dl+ul, r.now
+		}
+		if u.State == ue.Connected {
+			first = u.RNTI
+		}
+		if was == ue.Connected && u.State == ue.Idle {
+			releasedAt = int64(r.now / sim.TTI)
+		}
 	}
-	first := u.RNTI
-	r.run(time.Second)
-	if u.State != ue.Idle {
+	if releasedAt < 0 {
 		t.Fatalf("UE state = %v after inactivity timeout", u.State)
+	}
+	if grants == 0 {
+		t.Fatal("the uplink bytes were never granted")
+	}
+	want := int64((lastActivity + p.InactivityTimeout + sim.TTI - 1) / sim.TTI)
+	if releasedAt != want {
+		t.Fatalf("released at subframe %d, want %d (last activity %v + timeout %v)",
+			releasedAt, want, lastActivity, p.InactivityTimeout)
+	}
+	sfs := r.rec.subframes
+	if sf := sfs[len(sfs)-1]; sf.Index != want || !releasedWith(sf, first) {
+		t.Fatalf("subframe %d: no encrypted release on C-RNTI %v", want, first)
+	}
+	if releasedWith(sfs[len(sfs)-2], first) {
+		t.Fatalf("release DCI on C-RNTI %v already in subframe %d", first, want-1)
 	}
 	if u.RNTI != 0 {
 		t.Fatalf("UE kept RNTI %v after release", u.RNTI)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ltefp/internal/lte/enb"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/lte/rrc"
 	"ltefp/internal/lte/ue"
@@ -34,16 +33,10 @@ func firstPagingIndex(t *testing.T) int64 {
 // TestPagingOnOccasionBoundary pins the boundary-timing fix: downlink
 // arriving exactly on a paging occasion is paged in that same subframe,
 // not one full cycle later. Regression for the off-by-one where
-// now%cycle == 0 pushed the page out to now+32ms. Covered on both
-// scheduler implementations.
+// now%cycle == 0 pushed the page out to now+32ms.
 func TestPagingOnOccasionBoundary(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		prev := enb.SetDenseReference(dense)
-		idx := firstPagingIndex(t)
-		enb.SetDenseReference(prev)
-		if idx != 64 {
-			t.Errorf("dense=%v: boundary-time downlink paged at subframe %d, want 64 (the arrival's own occasion)", dense, idx)
-		}
+	if idx := firstPagingIndex(t); idx != 64 {
+		t.Errorf("boundary-time downlink paged at subframe %d, want 64 (the arrival's own occasion)", idx)
 	}
 }
 
@@ -71,38 +64,33 @@ func TestPagingDelayAccounting(t *testing.T) {
 // TestSameOccasionPagingBatched pins the batching fix: two idle UEs whose
 // downlink arrives before the same paging occasion share one paging
 // message carrying both records, instead of each costing its own PRNTI
-// message (and PDCCH/CCE budget). Covered on both scheduler
-// implementations.
+// message (and PDCCH/CCE budget).
 func TestSameOccasionPagingBatched(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		prev := enb.SetDenseReference(dense)
-		r := newRig(t, operator.Lab())
-		a, b := r.newUE("a"), r.newUE("b")
-		r.run(5 * time.Millisecond)
-		r.cell.DeliverDL(a, 400, r.now)
-		r.cell.DeliverDL(b, 400, r.now)
-		r.run(100 * time.Millisecond)
-		enb.SetDenseReference(prev)
+	r := newRig(t, operator.Lab())
+	a, b := r.newUE("a"), r.newUE("b")
+	r.run(5 * time.Millisecond)
+	r.cell.DeliverDL(a, 400, r.now)
+	r.cell.DeliverDL(b, 400, r.now)
+	r.run(100 * time.Millisecond)
 
-		var pages []rrc.Paging
-		for _, pl := range r.rec.plaintexts() {
-			if pg, ok := pl.(rrc.Paging); ok {
-				pages = append(pages, pg)
-			}
+	var pages []rrc.Paging
+	for _, pl := range r.rec.plaintexts() {
+		if pg, ok := pl.(rrc.Paging); ok {
+			pages = append(pages, pg)
 		}
-		if len(pages) != 1 {
-			t.Fatalf("dense=%v: %d paging messages for one occasion, want 1 batched message", dense, len(pages))
-		}
-		recs := pages[0].Records
-		if len(recs) != 2 || recs[0].TMSI != uint32(a.TMSI) || recs[1].TMSI != uint32(b.TMSI) {
-			t.Fatalf("dense=%v: batched records = %+v, want both TMSIs in delivery order", dense, recs)
-		}
-		if st := r.cell.DefenseStats(); st.PagingMessages != 1 || st.PagingRecords != 2 {
-			t.Errorf("dense=%v: paging stats = %+v, want 1 message / 2 records", dense, st)
-		}
-		if a.State != ue.Connected || b.State != ue.Connected {
-			t.Errorf("dense=%v: paged UEs ended %v/%v, want both connected", dense, a.State, b.State)
-		}
+	}
+	if len(pages) != 1 {
+		t.Fatalf("%d paging messages for one occasion, want 1 batched message", len(pages))
+	}
+	recs := pages[0].Records
+	if len(recs) != 2 || recs[0].TMSI != uint32(a.TMSI) || recs[1].TMSI != uint32(b.TMSI) {
+		t.Fatalf("batched records = %+v, want both TMSIs in delivery order", recs)
+	}
+	if st := r.cell.DefenseStats(); st.PagingMessages != 1 || st.PagingRecords != 2 {
+		t.Errorf("paging stats = %+v, want 1 message / 2 records", st)
+	}
+	if a.State != ue.Connected || b.State != ue.Connected {
+		t.Errorf("paged UEs ended %v/%v, want both connected", a.State, b.State)
 	}
 }
 

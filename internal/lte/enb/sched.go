@@ -46,31 +46,15 @@ func (c *Cell) Tick(now time.Duration) *phy.Subframe {
 		ulPRBLeft: c.Profile.PRBs,
 	}
 	c.cur = b
-	if c.dense {
-		c.ctl.PopDue(now)
-		c.applyShaping(b)
-		c.scheduleData(b)
-		c.checkInactivity(now)
-		if c.Profile.RNTIRefreshEvery > 0 && b.sf.Index%32 == 0 {
-			c.refreshRNTIs(now)
-		}
-		if b.sf.Index%100 == 0 {
-			c.stepChannels()
-		}
-		c.compactOrder()
-	} else {
-		// O(active) phase order mirrors the dense reference exactly: the
-		// wheel replaces the inactivity and refresh walks, channel walks
-		// advance lazily at their read sites, and compaction runs only on
-		// ticks that released a context.
-		c.wheel.advance(b.sf.Index)
-		c.ctl.PopDue(now)
-		c.applyShaping(b)
-		c.scheduleDataActive(b)
-		c.fireIdle(now)
-		c.fireRefresh(now)
-		c.compactOrderActive()
-	}
+	// Control steps and the inactivity and refresh deadlines due by now
+	// fire first; the deadlines are acted on after data scheduling, and
+	// contexts released this tick leave c.order last.
+	c.ctl.PopDue(now)
+	c.applyShaping(b)
+	c.scheduleData(b)
+	c.fireIdle(now)
+	c.fireRefresh(now)
+	c.compactOrder()
 	c.lastTick = b.sf.Index
 	c.cur = nil
 	if c.m.enabled {
@@ -223,10 +207,10 @@ func (b *builder) tryEmit(c *Cell, r rnti.RNTI, f dci.Format, agg, nprb, mcs int
 
 // applyShaping runs the traffic-shaping defenses that inject bytes ahead
 // of data scheduling: per-frame dummy bursts and the constant-rate
-// downlink top-up. Both walk c.order in index order — identical on the
-// dense and active paths — so every RNG draw and queue mutation sequences
-// the same way on both, preserving the differential contract. With both
-// defenses off this costs two branch tests per tick.
+// downlink top-up. Both walk every connected context in c.order position,
+// active or parked, so their RNG draws and queue mutations sequence by
+// scheduling-table position. With both defenses off this costs two branch
+// tests per tick.
 func (c *Cell) applyShaping(b *builder) {
 	p := &c.Profile
 	if p.DummyBurstProb > 0 && b.sf.Index%10 == 0 {
@@ -263,37 +247,15 @@ func (c *Cell) applyShaping(b *builder) {
 	}
 }
 
-// scheduleData runs the per-TTI data scheduler of the dense reference: a
-// rotating round-robin over every enrolled context, granting downlink
-// assignments (format 1A) and uplink grants (format 0) against the
-// remaining PRB budget.
+// scheduleData runs the per-TTI data scheduler: a round-robin rotation in
+// c.order position from rrPtr, granting downlink assignments (format 1A)
+// and uplink grants (format 0) against the remaining PRB budget; rrPtr
+// then advances one position, wrapping at len(c.order). Only contexts
+// with pending bytes can be granted, so it visits just the active ring —
+// sorted by c.order position, so splitting it at rrPtr yields the
+// rotation — then prunes entries the visits drained. Contexts whose
+// scheduling interval has not yet come up stay in the ring.
 func (c *Cell) scheduleData(b *builder) {
-	n := len(c.order)
-	if n == 0 {
-		return
-	}
-	idx := c.rrPtr
-	for i := 0; i < n; i++ {
-		c.visitData(b, c.order[idx])
-		idx++
-		if idx == n {
-			idx = 0
-		}
-	}
-	c.rrPtr++
-	if c.rrPtr == n {
-		c.rrPtr = 0
-	}
-}
-
-// scheduleDataActive is scheduleData over the active ring: it visits only
-// the contexts with pending bytes, in exactly the sequence the dense
-// rotation would reach them — the ring is sorted by scheduling-order
-// position, so splitting it at the rotation pointer reproduces the
-// rotated walk — then prunes entries the visits drained. Contexts whose
-// scheduling interval has not yet come up stay in the ring and take the
-// same no-op visit the dense walk gives them.
-func (c *Cell) scheduleDataActive(b *builder) {
 	n := len(c.order)
 	if n == 0 {
 		return
@@ -333,11 +295,11 @@ func (c *Cell) scheduleDataActive(b *builder) {
 	c.active = kept
 }
 
-// visitData gives one context its round-robin turn. This is the dense
-// walk's per-slot behaviour — including the order of every RNG draw —
-// factored out so the reference and the active ring share it bit for bit.
-// The channel-walk catch-up is a no-op under the dense reference, whose
-// eager stepChannels keeps every UE current.
+// visitData gives one context its round-robin turn: a downlink grant,
+// then an uplink grant, for each direction with bytes queued, its
+// scheduling interval come up and PRBs left. Before sizing, the UE's
+// channel is caught up to the epochs before this subframe (see cqiLimit),
+// and both directions share the resulting MCS.
 func (c *Cell) visitData(b *builder, ctx *ueCtx) {
 	if ctx.state != ctxConnected {
 		return
@@ -532,25 +494,11 @@ func aggForCQI(cqi float64) int {
 	}
 }
 
-// refreshRNTIs is the dense reference's side of the paper's §VIII-B
-// countermeasure: every 32 TTIs it scans for connected UEs whose C-RNTI
-// has aged past the refresh period. A passive observer sees the old RNTI
-// fall silent and an unlinkable new one appear, resetting its tracking.
-func (c *Cell) refreshRNTIs(now time.Duration) {
-	for _, ctx := range c.order {
-		if ctx.state != ctxConnected {
-			continue
-		}
-		if now-ctx.rntiAge < c.Profile.RNTIRefreshEvery {
-			continue
-		}
-		c.refreshOne(ctx, now)
-	}
-}
-
 // refreshOne gives one connected context a fresh C-RNTI via an encrypted
 // reconfiguration, reporting false when the RNTI space is exhausted (the
-// old identity is kept for this round).
+// old identity is kept for this round). This is the paper's §VIII-B
+// countermeasure: a passive observer sees the old RNTI fall silent and an
+// unlinkable new one appear, resetting its tracking.
 func (c *Cell) refreshOne(ctx *ueCtx, now time.Duration) bool {
 	fresh, err := c.alloc.Allocate()
 	if err != nil {
@@ -568,50 +516,120 @@ func (c *Cell) refreshOne(ctx *ueCtx, now time.Duration) bool {
 	return true
 }
 
-// fireRefresh processes the refresh occasions the wheel surfaced for this
-// tick. Entries are re-validated against live state — the walk's own
-// conditions — then acted on in scheduling-order position, so the emitted
-// reconfigurations and RNG draws sequence exactly as the dense scan's.
-// Each refresh (or exhaustion retry) arms the context's next occasion.
+// deadlineKind says what a deadline is for.
+type deadlineKind uint8
+
+const (
+	deadlineIdle    deadlineKind = iota // inactivity-release check
+	deadlineRefresh                     // C-RNTI refresh occasion
+)
+
+// deadline is an inactivity-release or C-RNTI refresh deadline parked on
+// the cell's control queue at its subframe edge. Deadlines are hints, not
+// commands: the consumer re-validates against live context state when
+// one fires, so arming never needs to find and cancel a stale deadline —
+// the stale one just fails validation. The generation number guards the
+// harder staleness: a context released and recycled for a different UE
+// before the deadline came up. Payloads are recycled through a per-cell
+// free list, so arming does not allocate once the pool has grown to the
+// peak number pending.
+type deadline struct {
+	c    *Cell
+	ctx  *ueCtx
+	gen  uint32
+	kind deadlineKind
+	at   int64 // subframe index
+}
+
+// Fire collects the deadline for this tick's fireIdle or fireRefresh,
+// which act on it after data scheduling.
+func (d *deadline) Fire() {
+	if d.kind == deadlineIdle {
+		d.c.dueIdle = append(d.c.dueIdle, d)
+	} else {
+		d.c.dueRefresh = append(d.c.dueRefresh, d)
+	}
+}
+
+// arm parks a deadline for ctx's current tenancy at subframe at. A
+// deadline already past — only BeginHandover arms between ticks — fires
+// at the next tick, as the queue fires every overdue event. An empty pool
+// is refilled a block at a time: every resident connection holds a
+// pending deadline, so a population-scale cell needs thousands.
+func (c *Cell) arm(ctx *ueCtx, kind deadlineKind, at int64) {
+	if len(c.deadlineFree) == 0 {
+		blk := make([]deadline, 256)
+		for i := range blk {
+			blk[i].c = c
+			c.deadlineFree = append(c.deadlineFree, &blk[i])
+		}
+	}
+	n := len(c.deadlineFree) - 1
+	d := c.deadlineFree[n]
+	c.deadlineFree[n] = nil
+	c.deadlineFree = c.deadlineFree[:n]
+	d.ctx, d.gen, d.kind, d.at = ctx, ctx.gen, kind, at
+	c.ctl.PushFirer(time.Duration(at)*sim.TTI, d)
+}
+
+// recycle returns a fired deadline's fields and puts the payload back on
+// the free list.
+func (c *Cell) recycle(d *deadline) (ctx *ueCtx, gen uint32, at int64) {
+	ctx, gen, at = d.ctx, d.gen, d.at
+	c.deadlineFree = append(c.deadlineFree, d)
+	return ctx, gen, at
+}
+
+// byOrder orders fired deadlines by their context's position in c.order.
+func byOrder(a, b *deadline) int { return a.ctx.ordIdx - b.ctx.ordIdx }
+
+// fireRefresh processes the refresh occasions that came due this tick.
+// Each is re-validated — the context is still the armed tenancy, still
+// connected, and its C-RNTI is at least RNTIRefreshEvery old — then acted
+// on in c.order position, so reconfigurations and allocator draws follow
+// the scheduling table's order. A refresh arms the next occasion; an
+// exhausted RNTI space retries 32 subframes later.
 func (c *Cell) fireRefresh(now time.Duration) {
-	due := c.wheel.dueRefresh
+	due := c.dueRefresh
 	if len(due) == 0 {
 		return
 	}
-	slices.SortFunc(due, func(a, b timerEntry) int { return a.ctx.ordIdx - b.ctx.ordIdx })
-	for _, e := range due {
-		ctx := e.ctx
-		if e.gen != ctx.gen || ctx.state != ctxConnected {
+	slices.SortFunc(due, byOrder)
+	for _, d := range due {
+		ctx, gen, at := c.recycle(d)
+		if gen != ctx.gen || ctx.state != ctxConnected {
 			continue
 		}
 		if now-ctx.rntiAge < c.Profile.RNTIRefreshEvery {
-			continue // refreshed since arming; the newer entry covers it
+			continue // refreshed since arming; the newer deadline covers it
 		}
 		if c.refreshOne(ctx, now) {
 			c.armRefresh(ctx)
 		} else {
-			c.wheel.arm(ctx, timerRefresh, e.at+32) // retry next occasion
+			c.arm(ctx, deadlineRefresh, at+32) // retry next occasion
 		}
 	}
-	c.wheel.dueRefresh = due[:0]
+	c.dueRefresh = due[:0]
 }
 
-// fireIdle processes the inactivity deadlines the wheel surfaced for this
-// tick. A deadline is a hint, not a command: the release conditions are
-// re-validated in full, so a context is released at exactly the tick the
-// dense walk would pick. A fired entry ends its tenancy's one-entry
-// chain; if the context is merely not idle long enough (activity since
-// arming moved the deadline), the chain re-arms at the new deadline, and
-// if it is busy, the ring sweep re-arms when the queues next drain.
+// fireIdle processes the inactivity deadlines that came due this tick —
+// the releases behind the RNTI churn the paper's tracker must survive. A
+// deadline is a hint, not a command: the release rule is re-validated in
+// full — connected, both queues empty, and now-lastActivity >=
+// InactivityTimeout — and contexts are released in c.order position. A
+// fired deadline ends its tenancy's one-deadline chain; if the context is
+// merely not idle long enough (activity since arming moved the deadline),
+// the chain re-arms at the new deadline, and if it is busy, the ring
+// sweep re-arms when the queues next drain.
 func (c *Cell) fireIdle(now time.Duration) {
-	due := c.wheel.dueIdle
+	due := c.dueIdle
 	if len(due) == 0 {
 		return
 	}
-	slices.SortFunc(due, func(a, b timerEntry) int { return a.ctx.ordIdx - b.ctx.ordIdx })
-	for _, e := range due {
-		ctx := e.ctx
-		if e.gen != ctx.gen {
+	slices.SortFunc(due, byOrder)
+	for _, d := range due {
+		ctx, gen, _ := c.recycle(d)
+		if gen != ctx.gen {
 			continue // stale tenancy: the recycled context owns its own chain
 		}
 		ctx.idleArmed = false
@@ -627,64 +645,16 @@ func (c *Cell) fireIdle(now time.Duration) {
 		}
 		c.release(ctx, true)
 	}
-	c.wheel.dueIdle = due[:0]
+	c.dueIdle = due[:0]
 }
 
-// checkInactivity is the dense reference's release scan: every tick it
-// walks all contexts for connections silent past the operator's
-// inactivity timeout — the mechanism behind the RNTI churn the paper's
-// tracker must survive.
-func (c *Cell) checkInactivity(now time.Duration) {
-	for _, ctx := range c.order {
-		if ctx.state != ctxConnected {
-			continue
-		}
-		if ctx.dlQueue > 0 || ctx.ulQueue > 0 {
-			continue
-		}
-		if now-ctx.lastActivity >= c.Profile.InactivityTimeout {
-			c.release(ctx, true)
-		}
-	}
-}
-
-// stepChannels eagerly advances every attached UE's channel random walk
-// (dense reference only, every 100 subframes); the active scheduler
-// instead replays owed epochs at each read site via ue.CatchUpCQI.
-func (c *Cell) stepChannels() {
-	for _, ctx := range c.order {
-		if ctx.state != ctxReleased {
-			ctx.ue.StepCQI(100 * sim.TTI)
-		}
-	}
-}
-
-// compactOrder drops released contexts from the scheduling order (dense
-// reference; rescans the whole table every tick).
+// compactOrder drops released contexts from the scheduling order and
+// recycles their allocations. Survivors keep their relative order and
+// take their new positions as ordIdx, and rrPtr is reduced modulo the new
+// length, so the rotation resumes at the same position number. It runs
+// only on ticks that released something, shifting from the lowest
+// released slot.
 func (c *Cell) compactOrder() {
-	kept := c.order[:0]
-	for _, ctx := range c.order {
-		if ctx.state != ctxReleased {
-			kept = append(kept, ctx)
-		}
-	}
-	for i := len(kept); i < len(c.order); i++ {
-		c.order[i] = nil
-	}
-	c.order = kept
-	if len(c.order) == 0 {
-		c.rrPtr = 0
-	} else {
-		c.rrPtr %= len(c.order)
-	}
-}
-
-// compactOrderActive drops released contexts from the scheduling order and
-// recycles their allocations. It runs only on ticks that released
-// something, scanning from the lowest released slot, and replicates the
-// dense compaction's slot shifts and rotation-pointer arithmetic exactly —
-// the surviving contexts' ordIdx values are their dense positions.
-func (c *Cell) compactOrderActive() {
 	if len(c.pendingRelease) == 0 {
 		return
 	}

@@ -38,12 +38,13 @@ go test -race ./internal/attack/correlation/...
 # meaningful when the race detector watches the parallel path.
 echo "== go test -race ./internal/lte/network/..."
 go test -race ./internal/lte/network/...
-# The population capture path crosses the O(active) scheduler, the timer
-# wheel, lazy channel accrual, and sparse background churn; gate the
-# dense-vs-active differential explicitly under the detector (the
-# population fabric invariance test is covered by the network gate above).
-echo "== go test -race -run 'TestActiveSchedulerMatchesDenseWalk' ./internal/capture"
-go test -race -run 'TestActiveSchedulerMatchesDenseWalk' ./internal/capture
+# The population capture path crosses the O(active) scheduler, the
+# inactivity and refresh deadlines on each cell's event queue, lazy channel
+# accrual, and sparse background churn; gate the pinned scheduler-scenario
+# digests explicitly under the detector (the population fabric invariance
+# test is covered by the network gate above).
+echo "== go test -race -run 'TestSchedulerScenarioDigests' ./internal/capture"
+go test -race -run 'TestSchedulerScenarioDigests' ./internal/capture
 # The daemon supervises one goroutine per capture, each checkpointing
 # and restarting the four-stage pipeline; gate a full checkpoint-restore
 # cycle under -race explicitly so the byte-identical-convergence
