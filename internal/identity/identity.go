@@ -8,6 +8,7 @@
 package identity
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -142,7 +143,10 @@ func (m *Mapper) IntervalsFor(tmsi uint32) []Interval {
 
 // UserTrace extracts, from a capture, every record attributable to a user
 // known by any of the given TMSIs (a user holds several TMSIs over time as
-// the core reallocates them). The result is time-ordered.
+// the core reallocates them). The result is time-ordered and sized
+// exactly: one matching pass marks and counts the attributable records in
+// a bitset (one bit per record), and the result is allocated once and
+// filled from the marks without matching again.
 func (m *Mapper) UserTrace(records trace.Trace, tmsis ...uint32) trace.Trace {
 	want := make(map[uint32]struct{}, len(tmsis))
 	for _, t := range tmsis {
@@ -154,14 +158,25 @@ func (m *Mapper) UserTrace(records trace.Trace, tmsis ...uint32) trace.Trace {
 			ivs = append(ivs, iv)
 		}
 	}
-	var out trace.Trace
-	for _, rec := range records {
+	marks := make([]uint64, (len(records)+63)/64)
+	n := 0
+	for i, rec := range records {
 		for _, iv := range ivs {
 			if rec.CellID == iv.CellID && rec.RNTI == iv.RNTI &&
 				rec.At >= iv.From && rec.At < iv.To {
-				out = append(out, rec)
+				marks[i/64] |= 1 << (i % 64)
+				n++
 				break
 			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(trace.Trace, 0, n)
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, records[w*64+bits.TrailingZeros64(word)])
 		}
 	}
 	out.Sort()

@@ -95,9 +95,9 @@ func TestRandomIdentityOpensNothing(t *testing.T) {
 	}
 }
 
-func TestCrossCellTracking(t *testing.T) {
-	// The same TMSI appearing in two cells (the victim moved) yields one
-	// user trace spanning both — the basis of the history attack.
+// crossCellFixture is one TMSI bound in two cells (the victim moved),
+// with the same RNTI in use by someone else in the first cell.
+func crossCellFixture() ([]sniffer.IdentityEvent, trace.Trace) {
 	events := []sniffer.IdentityEvent{
 		event(1*time.Second, 1, 0x100, 0xCAFE),
 		event(100*time.Second, 2, 0x377, 0xCAFE),
@@ -107,6 +107,13 @@ func TestCrossCellTracking(t *testing.T) {
 		rec(101*time.Second, 2, 0x377, 20),
 		rec(101*time.Second, 1, 0x377, 31337), // same RNTI, other cell: not ours
 	}
+	return events, records
+}
+
+func TestCrossCellTracking(t *testing.T) {
+	// The same TMSI appearing in two cells (the victim moved) yields one
+	// user trace spanning both — the basis of the history attack.
+	events, records := crossCellFixture()
 	m := identity.Build(events, records, 10*time.Second)
 	got := m.UserTrace(records, 0xCAFE)
 	if len(got) != 2 || got.TotalBytes() != 30 {
@@ -114,9 +121,9 @@ func TestCrossCellTracking(t *testing.T) {
 	}
 }
 
-func TestMultipleTMSIsOneUser(t *testing.T) {
-	// After a GUTI reallocation the user holds a new TMSI; querying with
-	// both (IMSI-catcher assistance) merges the eras.
+// multiTMSIFixture is one user holding two TMSIs, before and after a GUTI
+// reallocation, each on its own RNTI.
+func multiTMSIFixture() ([]sniffer.IdentityEvent, trace.Trace) {
 	events := []sniffer.IdentityEvent{
 		event(1*time.Second, 1, 0x100, 0xAAA1),
 		event(50*time.Second, 1, 0x200, 0xAAA2),
@@ -125,6 +132,13 @@ func TestMultipleTMSIsOneUser(t *testing.T) {
 		rec(2*time.Second, 1, 0x100, 1),
 		rec(51*time.Second, 1, 0x200, 2),
 	}
+	return events, records
+}
+
+func TestMultipleTMSIsOneUser(t *testing.T) {
+	// After a GUTI reallocation the user holds a new TMSI; querying with
+	// both (IMSI-catcher assistance) merges the eras.
+	events, records := multiTMSIFixture()
 	m := identity.Build(events, records, 10*time.Second)
 	got := m.UserTrace(records, 0xAAA1, 0xAAA2)
 	if len(got) != 2 {

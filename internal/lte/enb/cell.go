@@ -90,13 +90,12 @@ type Cell struct {
 	rng   *sim.RNG
 	alloc *rnti.Allocator
 
-	// byRNTI is a dense RNTI-indexed context table (the RNTI space is
-	// 16-bit): per-connection lookups and releases touch one slot instead
-	// of churning a map.
-	byRNTI []*ueCtx
-	byUE   map[*ue.UE]*ueCtx
-	order  []*ueCtx // deterministic scheduling order
-	rrPtr  int      // round-robin rotation pointer
+	// byUE finds a UE's context. Contexts are looked up only by UE: a
+	// context carries its own C-RNTI, and the allocator's in-use set is
+	// the cell's only RNTI-keyed state.
+	byUE  map[*ue.UE]*ueCtx
+	order []*ueCtx // deterministic scheduling order
+	rrPtr int      // round-robin rotation pointer
 
 	// active is the active-set scheduling ring: the contexts in connected
 	// state with nonzero queues, sorted by ordIdx. scheduleData visits
@@ -281,7 +280,6 @@ func NewCell(id int, p operator.Profile, core *epc.Core, rng *sim.RNG) (*Cell, e
 		core:      core,
 		rng:       rng,
 		alloc:     rnti.NewAllocator(rng),
-		byRNTI:    make([]*ueCtx, 1<<16),
 		byUE:      make(map[*ue.UE]*ueCtx),
 		dlPending: make(map[*ue.UE]int),
 		camped:    make(map[*ue.UE]bool),
@@ -523,7 +521,6 @@ func (c *Cell) scheduleRAR(u *ue.UE, cause rrc.EstablishmentCause, preamble int,
 	}
 	ctx := c.newCtx()
 	ctx.ue, ctx.rnti, ctx.state = u, r, ctxAccess
-	c.byRNTI[r] = ctx
 	c.byUE[u] = ctx
 	c.enroll(ctx)
 	g := ctx.gen
@@ -743,7 +740,6 @@ func (c *Cell) AdmitHandover(u *ue.UE, dlQueue, ulQueue int, now time.Duration) 
 	ctx.ue, ctx.rnti, ctx.state = u, r, ctxAccess
 	ctx.secured = true
 	ctx.dlQueue, ctx.ulQueue = dlQueue, ulQueue
-	c.byRNTI[r] = ctx
 	c.byUE[u] = ctx
 	c.enroll(ctx)
 	c.aggQueue += dlQueue + ulQueue
@@ -794,7 +790,6 @@ func (c *Cell) releaseQuiet(ctx *ueCtx) {
 		c.nConnected--
 	}
 	ctx.state = ctxReleased
-	c.byRNTI[ctx.rnti] = nil
 	delete(c.byUE, ctx.ue)
 	c.alloc.Release(ctx.rnti)
 	c.ringRemove(ctx)

@@ -506,11 +506,9 @@ func (c *Cell) refreshOne(ctx *ueCtx, now time.Duration) bool {
 	}
 	// Encrypted RRCConnectionReconfiguration on the old identity.
 	c.cur.control(c, ctx.rnti, dci.Format1A, 1, nil)
-	c.byRNTI[ctx.rnti] = nil
 	c.alloc.Release(ctx.rnti)
 	ctx.rnti = fresh
 	ctx.rntiAge = now
-	c.byRNTI[fresh] = ctx
 	ctx.ue.RNTI = fresh
 	c.m.rntiRefreshes.Inc()
 	return true

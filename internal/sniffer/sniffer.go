@@ -104,10 +104,14 @@ type Sniffer struct {
 	ids     []IdentityEvent
 	pagings []PagingEvent
 
-	// activity is a dense RNTI-indexed table (the RNTI space is 16-bit):
-	// the per-record bookkeeping of the blind-decode loop touches one slot
-	// without hashing or map churn. seen lists the RNTIs with a non-zero
-	// Count, in first-sighting order, for the iterating accessors.
+	// activity holds one Activity per RNTI seen, and seen the RNTIs
+	// themselves, both in first-sighting order (activity[i] is seen[i]'s).
+	// slot is a dense RNTI-indexed table (the RNTI space is 16-bit) of
+	// 1-based indices into activity, 0 for an RNTI never seen: the
+	// per-record bookkeeping of the blind-decode loop touches one slot
+	// without hashing, and the Activity storage grows with the RNTIs a
+	// capture sees rather than with the whole RNTI space.
+	slot     *[1 << 16]int32
 	activity []Activity
 	seen     []rnti.RNTI
 
@@ -164,10 +168,10 @@ type Activity struct {
 // for its loss and corruption draws.
 func New(cfg Config, rng *sim.RNG) *Sniffer {
 	return &Sniffer{
-		cfg:      cfg,
-		rng:      rng,
-		activity: make([]Activity, 1<<16),
-		m:        newSnifferMetrics(cfg.Metrics),
+		cfg:  cfg,
+		rng:  rng,
+		slot: new([1 << 16]int32),
+		m:    newSnifferMetrics(cfg.Metrics),
 	}
 }
 
@@ -235,11 +239,14 @@ func (s *Sniffer) Observe(cellID int, sf *phy.Subframe) {
 			Dir:    dir,
 			Bytes:  bytes,
 		})
-		a := &s.activity[r]
-		if a.Count == 0 {
-			a.First = at
+		i := s.slot[r]
+		if i == 0 {
+			s.activity = append(s.activity, Activity{First: at})
 			s.seen = append(s.seen, r)
+			i = int32(len(s.activity))
+			s.slot[r] = i
 		}
+		a := &s.activity[i-1]
 		a.Last = at
 		a.Count++
 	}
@@ -304,6 +311,14 @@ func (s *Sniffer) corrupt(payload []byte) []byte {
 	return out
 }
 
+// count returns how many records r has been seen in, 0 if never.
+func (s *Sniffer) count(r rnti.RNTI) int {
+	if i := s.slot[r]; i != 0 {
+		return s.activity[i-1].Count
+	}
+	return 0
+}
+
 // Records returns everything captured so far, time-ordered.
 func (s *Sniffer) Records() trace.Trace { return s.records }
 
@@ -322,7 +337,7 @@ func (s *Sniffer) ValidatedRecords(minCount int) trace.Trace {
 func (s *Sniffer) AppendValidated(dst trace.Trace, minCount int) trace.Trace {
 	var rejects int64
 	for _, r := range s.records {
-		if s.activity[r.RNTI].Count >= minCount {
+		if s.count(r.RNTI) >= minCount {
 			dst = append(dst, r)
 		} else {
 			rejects++
@@ -358,7 +373,7 @@ func (s *Sniffer) DrainValidated(dst trace.Trace, minCount int) trace.Trace {
 	}
 	for ; s.drained < len(s.records); s.drained++ {
 		r := s.records[s.drained]
-		if s.activity[r.RNTI].Count < minCount {
+		if s.count(r.RNTI) < minCount {
 			s.pending[r.RNTI] = append(s.pending[r.RNTI], int32(s.drained))
 			continue
 		}
@@ -398,8 +413,8 @@ func (s *Sniffer) PagingEvents() []PagingEvent { return s.pagings }
 // mirroring OWL's live user list.
 func (s *Sniffer) ActiveRNTIs(now, window time.Duration) []rnti.RNTI {
 	var out []rnti.RNTI
-	for _, r := range s.seen {
-		if now-s.activity[r].Last <= window {
+	for i, r := range s.seen {
+		if now-s.activity[i].Last <= window {
 			out = append(out, r)
 		}
 	}

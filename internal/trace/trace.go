@@ -55,8 +55,15 @@ func (t Trace) TotalBytes() int {
 
 // FilterDirection keeps only records of the given direction (a sniffer
 // covering a sole downlink or uplink channel, as in Tables III and IV).
+// The result is sized exactly: a counting pass precedes the one allocation.
 func (t Trace) FilterDirection(d dci.Direction) Trace {
-	out := make(Trace, 0, len(t))
+	n := 0
+	for i := range t {
+		if t[i].Dir == d {
+			n++
+		}
+	}
+	out := make(Trace, 0, n)
 	for _, r := range t {
 		if r.Dir == d {
 			out = append(out, r)

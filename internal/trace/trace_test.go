@@ -89,6 +89,9 @@ func TestFilters(t *testing.T) {
 	if len(dl)+len(ul) != len(tr) {
 		t.Fatal("direction filters lose records")
 	}
+	if cap(dl) != len(dl) || cap(ul) != len(ul) {
+		t.Fatalf("FilterDirection is not sized exactly: cap %d/%d, len %d/%d", cap(dl), cap(ul), len(dl), len(ul))
+	}
 	for _, r := range dl {
 		if r.Dir != dci.Downlink {
 			t.Fatal("FilterDirection leaked uplink")
