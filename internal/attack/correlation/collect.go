@@ -3,13 +3,13 @@ package correlation
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"ltefp/internal/appmodel"
 	"ltefp/internal/capture"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/ml/dataset"
+	"ltefp/internal/par"
 	"ltefp/internal/sim"
 	"ltefp/internal/sniffer"
 	"ltefp/internal/trace"
@@ -139,26 +139,16 @@ func CollectPairTraces(spec PairSpec) (a, b trace.Trace, start, end time.Duratio
 // and setting, in parallel, deterministically in seed.
 func CollectPairs(spec PairSpec, n int) ([]Evidence, error) {
 	out := make([]Evidence, 2*n)
-	errs := make([]error, 2*n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < 2*n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			s := spec
-			s.Communicating = i < n
-			s.Seed = spec.Seed*0x01000193 + uint64(i)*0x10001 + 7
-			out[i], errs[i] = CollectPair(s)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.For(2*n, runtime.GOMAXPROCS(0), func(i int) error {
+		s := spec
+		s.Communicating = i < n
+		s.Seed = spec.Seed*0x01000193 + uint64(i)*0x10001 + 7
+		ev, err := CollectPair(s)
+		out[i] = ev
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

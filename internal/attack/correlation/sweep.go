@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ltefp/internal/ml/dtw"
 	"ltefp/internal/obs"
+	"ltefp/internal/par"
 	"ltefp/internal/trace"
 )
 
@@ -81,74 +80,50 @@ func Sweep(users []UserTrace, cfg SweepConfig) ([]Contact, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(users) {
-		workers = len(users)
-	}
 
 	// Stage 1: per-user series, built once and shared read-only by every
 	// shard. The dtw.Series carries the precomputed normalisation and
 	// Sakoe-Chiba envelopes the cascade's lower bounds feed on.
 	prep := make([]sweepUser, len(users))
-	var nextUser atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextUser.Add(1)) - 1
-				if i >= len(users) {
-					return
-				}
-				s := buildSide(users[i].Trace, cfg.Bin, cfg.Start, cfg.End)
-				prep[i] = sweepUser{side: s, rate: dtw.NewSeries(s.rate)}
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(len(users), workers, func(i int) error {
+		s := buildSide(users[i].Trace, cfg.Bin, cfg.Start, cfg.End)
+		prep[i] = sweepUser{side: s, rate: dtw.NewSeries(s.rate)}
+		return nil
+	})
 
-	// Stage 2: shard the pair space by row. Workers pull rows from an
-	// atomic counter (cheap dynamic balancing: early rows hold more pairs),
-	// accumulate contacts and funnel tallies locally, and flush once.
+	// Stage 2: shard the pair space by row. Each shard pulls rows from
+	// par's counter (cheap dynamic balancing: early rows hold more pairs),
+	// accumulates contacts and funnel tallies locally, and flushes once.
 	m := activeMetrics.Load()
-	shards := make([][]Contact, workers)
-	var nextRow atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var timer obs.Timer
-			if m != nil {
-				timer = m.stageMS.Start()
-			}
-			al := dtw.NewAligner()
-			var local []Contact
-			var funnel sweepFunnel
-			for {
-				i := int(nextRow.Add(1)) - 1
-				if i >= len(users)-1 {
-					break
+	rows := len(users) - 1
+	shards := make([][]Contact, min(workers, rows))
+	par.Workers(rows, workers, func(w int, next func() (int, bool)) {
+		var timer obs.Timer
+		if m != nil {
+			timer = m.stageMS.Start()
+		}
+		al := dtw.NewAligner()
+		var local []Contact
+		var funnel sweepFunnel
+		for i, ok := next(); ok; i, ok = next() {
+			for j := i + 1; j < len(users); j++ {
+				funnel.pairs++
+				ev, ok := cascadeEvidence(al, &prep[i], &prep[j], cfg.MinSimilarity, &funnel)
+				if !ok {
+					continue
 				}
-				for j := i + 1; j < len(users); j++ {
-					funnel.pairs++
-					ev, ok := cascadeEvidence(al, &prep[i], &prep[j], cfg.MinSimilarity, &funnel)
-					if !ok {
-						continue
-					}
-					c := Contact{A: i, B: j, Evidence: ev}
-					if cfg.Model != nil {
-						c.Score = cfg.Model.Score(ev)
-						c.Detected = cfg.Model.Predict(ev)
-					}
-					local = append(local, c)
+				c := Contact{A: i, B: j, Evidence: ev}
+				if cfg.Model != nil {
+					c.Score = cfg.Model.Score(ev)
+					c.Detected = cfg.Model.Predict(ev)
 				}
+				local = append(local, c)
 			}
-			shards[w] = local
-			funnel.flush(m)
-			timer.Stop()
-		}(w)
-	}
-	wg.Wait()
+		}
+		shards[w] = local
+		funnel.flush(m)
+		timer.Stop()
+	})
 
 	total := 0
 	for _, s := range shards {

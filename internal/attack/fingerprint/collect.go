@@ -3,13 +3,13 @@ package fingerprint
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"ltefp/internal/appmodel"
 	"ltefp/internal/capture"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/obs"
+	"ltefp/internal/par"
 	"ltefp/internal/sniffer"
 	"ltefp/internal/trace"
 )
@@ -65,38 +65,31 @@ func (s CollectSpec) normalize() (CollectSpec, error) {
 }
 
 // CollectTraces runs the campaign and returns one victim radio trace per
-// session. Sessions run in parallel; output order and content are
-// deterministic in Seed.
+// session. Sessions run in parallel (par.For, GOMAXPROCS workers); output
+// order and content are deterministic in Seed.
 func CollectTraces(spec CollectSpec) ([]trace.Trace, error) {
 	spec, err := spec.normalize()
 	if err != nil {
 		return nil, err
 	}
 	traces := make([]trace.Trace, spec.Sessions)
-	errs := make([]error, spec.Sessions)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < spec.Sessions; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			traces[i], errs[i] = collectOne(spec, i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err = par.For(spec.Sessions, runtime.GOMAXPROCS(0), func(i int) error {
+		tr, err := collectOne(spec, i)
 		if err != nil {
-			return nil, fmt.Errorf("fingerprint: session %d: %w", i, err)
+			return fmt.Errorf("fingerprint: session %d: %w", i, err)
 		}
+		traces[i] = tr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return traces, nil
 }
 
-// CollectPerSession runs the campaign and returns window vectors grouped
-// by session, enabling session-aware train/test splits.
-func CollectPerSession(spec CollectSpec) ([][][]float64, error) {
+// Collect runs the campaign and returns the victim's window vectors, all
+// sessions concatenated.
+func Collect(spec CollectSpec) ([][]float64, error) {
 	spec, err := spec.normalize()
 	if err != nil {
 		return nil, err
@@ -105,23 +98,9 @@ func CollectPerSession(spec CollectSpec) ([][][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][][]float64, len(traces))
-	for i, t := range traces {
-		out[i] = WindowVectors(t, spec.Window, spec.Stride)
-	}
-	return out, nil
-}
-
-// Collect runs the campaign and returns the victim's window vectors, all
-// sessions concatenated.
-func Collect(spec CollectSpec) ([][]float64, error) {
-	perSession, err := CollectPerSession(spec)
-	if err != nil {
-		return nil, err
-	}
 	var out [][]float64
-	for _, vecs := range perSession {
-		out = append(out, vecs...)
+	for _, t := range traces {
+		out = append(out, WindowVectors(t, spec.Window, spec.Stride)...)
 	}
 	return out, nil
 }

@@ -131,45 +131,33 @@ func datasetKey(profile operator.Profile, scale Scale, day int, seed uint64, cfg
 // artifact store.
 func collectDataset(label string, profile operator.Profile, scale Scale, day int, seed uint64, cfg sniffer.Config, filter fingerprint.DirectionFilter) ([]appData, error) {
 	apps := appmodel.Apps()
-	specFor := func(i int) fingerprint.CollectSpec {
-		sessions, dur := scale.sessionsFor(apps[i])
-		return fingerprint.CollectSpec{
-			Profile:          profile,
-			App:              apps[i],
-			Sessions:         sessions,
-			SessionDur:       dur,
-			Day:              day,
-			Seed:             seed + uint64(i+1)*7919,
-			Sniffer:          cfg,
-			ApplyProfileLoss: true,
-			Population:       scale.Population,
-			Metrics:          pipelineScope(),
-		}
-	}
-	// Assemble the dataset from the per-session window artifacts, fanned
-	// out over the shared experiment worker pool as one flat (app, session)
-	// task list. Each CollectWindows resolves through its own cache tier
-	// (and the capture tier below it), so assembly cost is whatever is not
-	// already resident.
+	// Assemble the dataset from the per-session window artifacts, one
+	// forEachSession task each. Each CollectWindows resolves through its
+	// own cache tier (and the capture tier below it), so assembly cost is
+	// whatever is not already resident.
 	v, err := artifact.Default.GetOrCompute(datasetCodec{}, datasetKey(profile, scale, day, seed, cfg, filter), func() (any, error) {
+		specs := make([]fingerprint.CollectSpec, len(apps))
 		out := make([]appData, len(apps))
-		type task struct{ app, session int }
-		var tasks []task
 		for i, app := range apps {
-			sessions, _ := scale.sessionsFor(app)
+			sessions, dur := scale.sessionsFor(app)
+			specs[i] = fingerprint.CollectSpec{
+				Profile:          profile,
+				App:              app,
+				Sessions:         sessions,
+				SessionDur:       dur,
+				Day:              day,
+				Seed:             seed + uint64(i+1)*7919,
+				Sniffer:          cfg,
+				ApplyProfileLoss: true,
+				Population:       scale.Population,
+				Metrics:          pipelineScope(),
+			}
 			out[i] = appData{app: app, sessions: make([][][]float64, sessions)}
-			for j := 0; j < sessions; j++ {
-				tasks = append(tasks, task{app: i, session: j})
-			}
 		}
-		err := forEach(len(tasks), func(k int) error {
-			t := tasks[k]
-			m, err := fingerprint.CollectWindows(specFor(t.app), t.session, filter)
-			if err != nil {
-				return fmt.Errorf("experiments: %s: %s session %d: %w", label, apps[t.app].Name, t.session, err)
-			}
-			out[t.app].sessions[t.session] = m
-			return nil
+		err := forEachSession(label, specs, func(c, s int) error {
+			m, err := fingerprint.CollectWindows(specs[c], s, filter)
+			out[c].sessions[s] = m
+			return err
 		})
 		if err != nil {
 			return nil, err

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"fmt"
 	"hash/fnv"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"ltefp/internal/ml/metrics"
 	"ltefp/internal/sim"
 	"ltefp/internal/sniffer"
-	"ltefp/internal/trace"
 )
 
 // Scale sizes the data-collection campaigns behind the experiments.
@@ -154,40 +152,6 @@ func (d appData) trainTest() (train, test [][]float64) {
 		cut = 1
 	}
 	return all[:cut], all[cut:]
-}
-
-// collectAppTraces records one campaign per app, fanning the individual
-// session captures out over the experiment worker pool as one flat
-// (app, session) task list. The runners' outer loops previously handed a
-// whole campaign to fingerprint's own goroutine pool, stacking two layers
-// of GOMAXPROCS-wide parallelism; flattening keeps generation parallel
-// while bounding it to the one shared pool. Results are index-addressed,
-// so output is independent of the worker schedule.
-func collectAppTraces(label string, apps []appmodel.App, specFor func(i int) fingerprint.CollectSpec) ([][]trace.Trace, error) {
-	specs := make([]fingerprint.CollectSpec, len(apps))
-	out := make([][]trace.Trace, len(apps))
-	type task struct{ app, session int }
-	var tasks []task
-	for i := range apps {
-		specs[i] = specFor(i)
-		out[i] = make([]trace.Trace, specs[i].Sessions)
-		for j := 0; j < specs[i].Sessions; j++ {
-			tasks = append(tasks, task{app: i, session: j})
-		}
-	}
-	err := forEach(len(tasks), func(k int) error {
-		t := tasks[k]
-		tr, err := fingerprint.CollectTrace(specs[t.app], t.session)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %s session %d: %w", label, apps[t.app].Name, t.session, err)
-		}
-		out[t.app][t.session] = tr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // collectSetting records the full nine-app campaign for one network

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ltefp/internal/appmodel"
@@ -71,7 +72,7 @@ type driftHorizon struct {
 var driftSniffer = sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true}
 
 // newDriftHorizon trains the static attacker and collects every day's
-// evaluation campaign, in parallel across days.
+// evaluation campaigns, one worker-pool task per session.
 func newDriftHorizon(scale Scale, seed uint64) (*driftHorizon, error) {
 	static, err := driftTrain(scale, seed, 1, 7907)
 	if err != nil {
@@ -97,12 +98,11 @@ func newDriftHorizon(scale Scale, seed uint64) (*driftHorizon, error) {
 	if sessions < 3 {
 		sessions = 3
 	}
-	h.dayVecs = make([][][][]float64, len(h.days))
-	err = forEach(len(h.days), func(di int) error {
-		day := h.days[di]
-		perApp := make([][][]float64, len(h.streaming))
+	// One campaign per (day, streaming app), index di*len(streaming)+ai.
+	specs := make([]fingerprint.CollectSpec, 0, len(h.days)*len(h.streaming))
+	for _, day := range h.days {
 		for ai, app := range h.streaming {
-			vecs, err := fingerprint.Collect(fingerprint.CollectSpec{
+			specs = append(specs, fingerprint.CollectSpec{
 				Profile:          operator.TMobile(),
 				App:              app,
 				Sessions:         sessions,
@@ -114,16 +114,18 @@ func newDriftHorizon(scale Scale, seed uint64) (*driftHorizon, error) {
 				Population:       scale.Population,
 				Metrics:          pipelineScope(),
 			})
-			if err != nil {
-				return fmt.Errorf("experiments: drift day %d: %w", day, err)
-			}
-			perApp[ai] = vecs
 		}
-		h.dayVecs[di] = perApp
-		return nil
-	})
+	}
+	windows, err := collectSessions("drift horizon", specs, defaultWindows)
 	if err != nil {
 		return nil, err
+	}
+	h.dayVecs = make([][][][]float64, len(h.days))
+	for di := range h.days {
+		h.dayVecs[di] = make([][][]float64, len(h.streaming))
+		for ai := range h.streaming {
+			h.dayVecs[di][ai] = slices.Concat(windows[di*len(h.streaming)+ai]...)
+		}
 	}
 	return h, nil
 }

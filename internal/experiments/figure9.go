@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ltefp/internal/appmodel"
@@ -65,15 +66,12 @@ func Figure9(scale Scale, seed uint64) (*Figure9Result, error) {
 	}
 
 	levels := []int{0, 2, 4, 6, 8, 10}
-	points := make([]Figure9Point, len(levels))
-	err = forEach(len(levels), func(li int) error {
-		bg := levels[li]
-		sessions := scale.StreamSessions + 2
-
-		noisy, err := fingerprint.Collect(fingerprint.CollectSpec{
+	specs := make([]fingerprint.CollectSpec, len(levels))
+	for li, bg := range levels {
+		specs[li] = fingerprint.CollectSpec{
 			Profile:          prof,
 			App:              youtube,
-			Sessions:         sessions,
+			Sessions:         scale.StreamSessions + 2,
 			SessionDur:       scale.StreamDur,
 			Seed:             seed + uint64(bg+1)*104651,
 			Sniffer:          cfg,
@@ -81,10 +79,15 @@ func Figure9(scale Scale, seed uint64) (*Figure9Result, error) {
 			BackgroundApps:   bg,
 			Population:       scale.Population,
 			Metrics:          pipelineScope(),
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: figure 9 (%d bg): %w", bg, err)
 		}
+	}
+	windows, err := collectSessions("figure 9", specs, defaultWindows)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]Figure9Point, len(levels))
+	err = forEach(len(levels), func(li int) error {
+		noisy := slices.Concat(windows[li]...)
 		conf := metrics.NewConfusion(names)
 		for _, pred := range clf.PredictBatch(noisy) {
 			conf.Add(idx[youtube.Name], idx[pred])
@@ -95,7 +98,7 @@ func Figure9(scale Scale, seed uint64) (*Figure9Result, error) {
 			}
 		}
 		points[li] = Figure9Point{
-			BackgroundApps: bg,
+			BackgroundApps: levels[li],
 			Instances:      len(noisy),
 			F1:             conf.F1(idx[youtube.Name]),
 		}

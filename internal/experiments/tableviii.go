@@ -57,14 +57,13 @@ func TableVIII(scale Scale, seed uint64) (*TableVIIIResult, error) {
 	for i, c := range cats {
 		catNames[i] = c.String()
 	}
-	// Campaigns run in parallel; rows are appended serially in app order so
-	// the dataset layout matches the serial runner's exactly.
+	// Sessions run in parallel; rows are appended serially in app and
+	// session order so the dataset layout matches the serial runner's.
 	apps := appmodel.Apps()
-	collected := make([][][]float64, len(apps))
-	err := forEach(len(apps), func(ai int) error {
-		app := apps[ai]
+	specs := make([]fingerprint.CollectSpec, len(apps))
+	for ai, app := range apps {
 		sessions, dur := scale.sessionsFor(app)
-		vecs, err := fingerprint.Collect(fingerprint.CollectSpec{
+		specs[ai] = fingerprint.CollectSpec{
 			Profile:          prof,
 			App:              app,
 			Sessions:         sessions,
@@ -74,13 +73,9 @@ func TableVIII(scale Scale, seed uint64) (*TableVIIIResult, error) {
 			ApplyProfileLoss: true,
 			Population:       scale.Population,
 			Metrics:          pipelineScope(),
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: table VIII: %s: %w", app.Name, err)
 		}
-		collected[ai] = vecs
-		return nil
-	})
+	}
+	collected, err := collectSessions("table VIII", specs, defaultWindows)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +87,9 @@ func TableVIII(scale Scale, seed uint64) (*TableVIIIResult, error) {
 				y = i
 			}
 		}
-		ds.AddAll(collected[ai], y)
+		for _, vecs := range collected[ai] {
+			ds.AddAll(vecs, y)
+		}
 	}
 	rng := sim.NewRNG(seed + 5381)
 	train, test := ds.Split(0.8, rng)

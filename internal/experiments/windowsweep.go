@@ -9,6 +9,7 @@ import (
 	"ltefp/internal/attack/fingerprint"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/sniffer"
+	"ltefp/internal/trace"
 )
 
 // WindowSweepPoint is one candidate window size's outcome.
@@ -46,15 +47,12 @@ func WindowSweep(scale Scale, seed uint64) (*WindowSweepResult, error) {
 	prof := operator.TMobile()
 	apps := appmodel.Apps()
 	var totalSpan time.Duration
-	for _, app := range apps {
+	specs := make([]fingerprint.CollectSpec, len(apps))
+	for i, app := range apps {
 		sessions, dur := scale.sessionsFor(app)
-		totalSpan += time.Duration(sessions) * dur
-	}
-	traces, err := collectAppTraces("window sweep", apps, func(i int) fingerprint.CollectSpec {
-		sessions, dur := scale.sessionsFor(apps[i])
-		return fingerprint.CollectSpec{
+		specs[i] = fingerprint.CollectSpec{
 			Profile:          prof,
-			App:              apps[i],
+			App:              app,
 			Sessions:         sessions,
 			SessionDur:       dur,
 			Seed:             seed + 52289 + uint64(i+1)*7919,
@@ -63,7 +61,9 @@ func WindowSweep(scale Scale, seed uint64) (*WindowSweepResult, error) {
 			Population:       scale.Population,
 			Metrics:          pipelineScope(),
 		}
-	})
+		totalSpan += time.Duration(sessions) * dur
+	}
+	traces, err := collectSessions("window sweep", specs, func(tr trace.Trace) trace.Trace { return tr })
 	if err != nil {
 		return nil, err
 	}

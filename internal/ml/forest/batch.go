@@ -4,8 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"ltefp/internal/par"
 )
 
 // predictStackClasses bounds the class count for which single-row
@@ -229,36 +229,18 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 	keys := s.keysFor(len(X) * dim)
 	chunks := (len(X) + predictBatchChunk - 1) / predictBatchChunk
 	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
+	if workers <= 1 || chunks <= 1 {
 		// One sweep over the whole batch: reloading every tree per chunk
 		// costs more than letting the accumulators stream through cache.
 		f.predictChunk(rep, X, keys, probs, out)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * predictBatchChunk
-				hi := lo + predictBatchChunk
-				if hi > len(X) {
-					hi = len(X)
-				}
-				f.predictChunk(rep, X[lo:hi], keys[lo*dim:hi*dim], probs[lo*classes:hi*classes], out[lo:hi])
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(chunks, workers, func(c int) error {
+		lo := c * predictBatchChunk
+		hi := min(lo+predictBatchChunk, len(X))
+		f.predictChunk(rep, X[lo:hi], keys[lo*dim:hi*dim], probs[lo*classes:hi*classes], out[lo:hi])
+		return nil
+	})
 }
 
 // treePair walks two rows down one tree in lock step and returns the leaf

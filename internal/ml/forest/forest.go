@@ -21,9 +21,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ltefp/internal/ml/dataset"
+	"ltefp/internal/par"
 	"ltefp/internal/sim"
 )
 
@@ -121,10 +121,10 @@ type Forest struct {
 	pack     *batchRep
 }
 
-// Train fits a forest on the dataset. Trees are trained by a bounded
-// worker pool, each from a deterministic per-tree stream, so results do
-// not depend on scheduling; each worker reuses one grower's scratch
-// buffers across all the trees it grows.
+// Train fits a forest on the dataset. Trees are grown on up to
+// cfg.Workers goroutines (par.Workers), each from a deterministic per-tree
+// stream, so results do not depend on scheduling; each goroutine reuses
+// one grower's scratch buffers across all the trees it grows.
 func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("forest: %w", err)
@@ -143,27 +143,12 @@ func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	f := &Forest{Trees: make([]Tree, cfg.Trees), Classes: d.Classes}
 	cols := columnOrders(d, cfg.Workers)
 
-	workers := cfg.Workers
-	if workers > cfg.Trees {
-		workers = cfg.Trees
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := newGrower(d, cfg, cols)
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= cfg.Trees {
-					return
-				}
-				f.Trees[t] = g.grow(treeRNG(cfg.Seed, t))
-			}
-		}()
-	}
-	wg.Wait()
+	par.Workers(cfg.Trees, cfg.Workers, func(_ int, next func() (int, bool)) {
+		g := newGrower(d, cfg, cols)
+		for t, ok := next(); ok; t, ok = next() {
+			f.Trees[t] = g.grow(treeRNG(cfg.Seed, t))
+		}
+	})
 	return f, nil
 }
 
@@ -216,7 +201,7 @@ func columnOrders(d *dataset.Dataset, workers int) *sortedCols {
 	for r, c := range d.Y {
 		out.y16[r] = uint16(c)
 	}
-	sortCol := func(f int) {
+	_ = par.For(dim, workers, func(f int) error {
 		ord := backing[f*n : (f+1)*n : (f+1)*n]
 		for i := range ord {
 			ord[i] = int32(i)
@@ -236,32 +221,8 @@ func columnOrders(d *dataset.Dataset, workers int) *sortedCols {
 		for i, r := range ord {
 			vals[i] = d.X[r][f]
 		}
-	}
-	if workers <= 1 || dim == 1 {
-		for f := 0; f < dim; f++ {
-			sortCol(f)
-		}
-		return out
-	}
-	if workers > dim {
-		workers = dim
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				f := int(next.Add(1)) - 1
-				if f >= dim {
-					return
-				}
-				sortCol(f)
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 	return out
 }
 

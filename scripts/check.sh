@@ -29,8 +29,14 @@ go build ./...
 # so a filtered full-suite run can never skip it.
 echo "== go test -race ./internal/stream/..."
 go test -race ./internal/stream/...
-# The contact sweep shards all-pairs DTW across worker goroutines with
-# atomic work-stealing; gate it under -race explicitly for the same reason.
+# internal/par is the one fan-out loop behind the experiment runners, the
+# forest trainer, batch prediction, campaign collection, and the contact
+# sweep; gate its own tests under the detector explicitly.
+echo "== go test -race ./internal/par/..."
+go test -race ./internal/par/...
+# The contact sweep shards all-pairs DTW across worker goroutines, each
+# keeping its own aligner and shard while par's counter hands out rows;
+# gate it under -race explicitly for the same reason.
 echo "== go test -race ./internal/attack/correlation/..."
 go test -race ./internal/attack/correlation/...
 # The multi-cell fabric runs shards on a spin-barrier worker pool with
