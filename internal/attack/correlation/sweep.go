@@ -85,7 +85,7 @@ func Sweep(users []UserTrace, cfg SweepConfig) ([]Contact, error) {
 	// shard. The dtw.Series carries the precomputed normalisation and
 	// Sakoe-Chiba envelopes the cascade's lower bounds feed on.
 	prep := make([]sweepUser, len(users))
-	_ = par.For(len(users), workers, func(i int) error {
+	_ = par.For(len(users), workers, func(i int) error { // never fails
 		s := buildSide(users[i].Trace, cfg.Bin, cfg.Start, cfg.End)
 		prep[i] = sweepUser{side: s, rate: dtw.NewSeries(s.rate)}
 		return nil

@@ -201,15 +201,15 @@ func (n *Network) run(until time.Duration) {
 }
 
 // workerPool executes one block across goroutines with atomic
-// work-stealing over the shard slice — the same discipline as
-// correlation.Sweep. Shards touch disjoint state inside a block, so any
-// shard→worker assignment yields identical output.
+// work-stealing over the shard slice — the same discipline as internal/par.
+// Shards touch disjoint state inside a block, so any shard→worker
+// assignment yields identical output.
 //
 // Blocks recur every few tens of microseconds, so the barrier must not
-// park and unpark OS threads each time: helpers spin (yielding) on a
-// generation counter between blocks, and the coordinating goroutine
-// joins the steal loop itself instead of waiting idle. The pool lives
-// for one Run call; close stops the helpers.
+// park and unpark OS threads each time (par's spawn-per-call loop would):
+// helpers spin (yielding) on a generation counter between blocks, and the
+// coordinating goroutine joins the steal loop itself instead of waiting
+// idle. The pool lives for one Run call; close stops the helpers.
 type workerPool struct {
 	shards []*shard
 	span   [2]time.Duration

@@ -235,7 +235,7 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 		f.predictChunk(rep, X, keys, probs, out)
 		return
 	}
-	_ = par.For(chunks, workers, func(c int) error {
+	_ = par.For(chunks, workers, func(c int) error { // never fails
 		lo := c * predictBatchChunk
 		hi := min(lo+predictBatchChunk, len(X))
 		f.predictChunk(rep, X[lo:hi], keys[lo*dim:hi*dim], probs[lo*classes:hi*classes], out[lo:hi])

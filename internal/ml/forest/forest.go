@@ -201,7 +201,7 @@ func columnOrders(d *dataset.Dataset, workers int) *sortedCols {
 	for r, c := range d.Y {
 		out.y16[r] = uint16(c)
 	}
-	_ = par.For(dim, workers, func(f int) error {
+	_ = par.For(dim, workers, func(f int) error { // never fails
 		ord := backing[f*n : (f+1)*n : (f+1)*n]
 		for i := range ord {
 			ord[i] = int32(i)
