@@ -98,7 +98,7 @@ func (f *Fingerprinter) HistoryAttack(opts HistoryOptions) (*HistoryReport, erro
 		Zones:            opts.Zones,
 		Sessions:         sessions,
 		Seed:             opts.Seed,
-		Sniffer:          sniffer.Config{CorruptProb: baselineCorruption},
+		Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption},
 		ApplyProfileLoss: true,
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func CollectContactPairs(network, app string, n int, dur time.Duration, seed uin
 		App:              a,
 		Duration:         dur,
 		Seed:             seed,
-		Sniffer:          sniffer.Config{CorruptProb: baselineCorruption},
+		Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption},
 		ApplyProfileLoss: true,
 	}, n)
 	if err != nil {

@@ -5,16 +5,12 @@ import (
 	"time"
 
 	"ltefp/internal/appmodel"
+	"ltefp/internal/attack/fingerprint"
 	"ltefp/internal/capture"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/obs"
-	"ltefp/internal/sim"
 	"ltefp/internal/sniffer"
 )
-
-// baselineCorruption is the decode-corruption rate every capture applies:
-// blind PDCCH decoding always produces a trickle of bogus candidates.
-const baselineCorruption = 0.002
 
 // CaptureOptions configures a single-victim capture: the victim runs one
 // app for the duration in one cell of the chosen network, observed by a
@@ -98,30 +94,32 @@ func (h CaptureHealth) LossRate() float64 {
 	return float64(h.Dropped) / float64(h.Candidates)
 }
 
-// scenarioFor builds the single-victim capture scenario shared by the
-// batch Capture and the streaming LiveCapture paths. opts.Duration must
-// already be defaulted and Defenses applied to prof.
-func scenarioFor(opts CaptureOptions, prof operator.Profile, app appmodel.App) capture.Scenario {
-	sess := capture.Session{
-		UE:       "victim",
-		CellID:   1,
-		App:      app,
-		Start:    500 * time.Millisecond,
-		Duration: opts.Duration,
-		Day:      opts.Day,
+// victimScenario is the step Capture and LiveCapture share: it resolves
+// the names, validates and applies the defenses, defaults the duration and
+// builds the single-victim scenario.
+func victimScenario(opts CaptureOptions) (capture.Scenario, error) {
+	prof, app, err := resolve(opts.Network, opts.App)
+	if err != nil {
+		return capture.Scenario{}, err
 	}
-	if opts.BackgroundApps > 0 {
-		sess.Arrivals = noisyArrivals(prof, app, opts)
+	if err := opts.Defenses.Validate(); err != nil {
+		return capture.Scenario{}, err
 	}
-	return capture.Scenario{
-		Seed:             opts.Seed,
-		Cells:            []capture.Cell{{ID: 1, Profile: prof}},
-		Sessions:         []capture.Session{sess},
-		Population:       opts.Population,
-		Sniffer:          sniffer.Config{CorruptProb: baselineCorruption, DownlinkOnly: opts.DownlinkOnly},
+	opts.Defenses.apply(&prof)
+	if opts.Duration <= 0 {
+		opts.Duration = time.Minute
+	}
+	return fingerprint.VictimScenario(fingerprint.CollectSpec{
+		Profile:          prof,
+		App:              app,
+		SessionDur:       opts.Duration,
+		Day:              opts.Day,
+		Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: opts.DownlinkOnly},
 		ApplyProfileLoss: true,
+		BackgroundApps:   opts.BackgroundApps,
+		Population:       opts.Population,
 		Metrics:          opts.Metrics.Scope("capture"),
-	}
+	}, opts.Seed), nil
 }
 
 // healthFrom converts the aggregated sniffer counters to the public view.
@@ -140,18 +138,11 @@ func healthFrom(st sniffer.Stats) CaptureHealth {
 
 // Capture simulates and records one victim session.
 func Capture(opts CaptureOptions) (*CaptureResult, error) {
-	prof, app, err := resolve(opts.Network, opts.App)
+	sc, err := victimScenario(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Defenses.Validate(); err != nil {
-		return nil, err
-	}
-	opts.Defenses.apply(&prof)
-	if opts.Duration <= 0 {
-		opts.Duration = time.Minute
-	}
-	res, err := capture.Run(scenarioFor(opts, prof, app))
+	res, err := capture.Run(sc)
 	if err != nil {
 		return nil, fmt.Errorf("ltefp: %w", err)
 	}
@@ -169,32 +160,6 @@ func Capture(opts CaptureOptions) (*CaptureResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// noisyArrivals overlays the foreground app with background noise apps.
-func noisyArrivals(prof operator.Profile, app appmodel.App, opts CaptureOptions) []appmodel.Arrival {
-	g := sim.NewRNG(opts.Seed ^ 0xB0B0B0B0)
-	day := opts.Day
-	if day < 1 {
-		day = 1
-	}
-	env := appmodel.Env{Quality: (prof.CQIMean - 1) / 14}
-	streams := [][]appmodel.Arrival{app.SessionEnv(g, opts.Duration, day, env)}
-	pool := append(appmodel.BackgroundPool(), appmodel.Apps()...)
-	delay := time.Duration(0)
-	for i := 0; i < opts.BackgroundApps; i++ {
-		bg := pool[g.IntN(len(pool))]
-		delay += time.Duration(g.Uniform(3, 4) * float64(time.Second))
-		if delay >= opts.Duration {
-			break
-		}
-		arr := bg.SessionEnv(g, opts.Duration-delay, day, env)
-		for j := range arr {
-			arr[j].At += delay
-		}
-		streams = append(streams, arr)
-	}
-	return appmodel.MergeSessions(streams...)
 }
 
 // resolve maps public names to internal configuration.

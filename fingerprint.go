@@ -64,7 +64,7 @@ func CollectTraining(opts TrainingOptions) (*TrainingData, error) {
 			Sessions:         sessions,
 			SessionDur:       opts.SessionDuration,
 			Seed:             opts.Seed + uint64(i+1)*7919,
-			Sniffer:          sniffer.Config{CorruptProb: baselineCorruption, DownlinkOnly: opts.DownlinkOnly},
+			Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: opts.DownlinkOnly},
 			ApplyProfileLoss: true,
 		})
 		if err != nil {

@@ -140,10 +140,7 @@ func CollectPairTraces(spec PairSpec) (a, b trace.Trace, start, end time.Duratio
 func CollectPairs(spec PairSpec, n int) ([]Evidence, error) {
 	out := make([]Evidence, 2*n)
 	err := par.For(2*n, runtime.GOMAXPROCS(0), func(i int) error {
-		s := spec
-		s.Communicating = i < n
-		s.Seed = spec.Seed*0x01000193 + uint64(i)*0x10001 + 7
-		ev, err := CollectPair(s)
+		ev, err := CollectPairAt(spec, n, i)
 		out[i] = ev
 		return err
 	})
@@ -151,6 +148,16 @@ func CollectPairs(spec PairSpec, n int) ([]Evidence, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// CollectPairAt records pair i of the 2n pairs CollectPairs gathers:
+// pairs [0, n) communicate, pairs [n, 2n) do not, and each pair's seed
+// derives from spec.Seed and i. Runners that already fan out over a worker
+// pool call it directly, one task per pair.
+func CollectPairAt(spec PairSpec, n, i int) (Evidence, error) {
+	spec.Communicating = i < n
+	spec.Seed = spec.Seed*0x01000193 + uint64(i)*0x10001 + 7
+	return CollectPair(spec)
 }
 
 // newEvidenceDataset converts evidence samples into a dataset for the

@@ -3,7 +3,6 @@ package fingerprint
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"ltefp/internal/appmodel"
 	"ltefp/internal/artifact"
@@ -44,32 +43,6 @@ func (f DirectionFilter) Apply(t trace.Trace) trace.Trace {
 		return t.FilterDirection(dci.Uplink)
 	default:
 		return t
-	}
-}
-
-// scenarioFor builds the capture scenario behind one numbered session of a
-// campaign (the same scenario collectOne runs).
-func scenarioFor(spec CollectSpec, session int) capture.Scenario {
-	seed := spec.Seed*0x9E3779B9 + uint64(session)*0x85EBCA77 + 1
-	sess := capture.Session{
-		UE:       "victim",
-		CellID:   1,
-		App:      spec.App,
-		Start:    500 * time.Millisecond,
-		Duration: spec.SessionDur,
-		Day:      spec.Day,
-	}
-	if spec.BackgroundApps > 0 {
-		sess.Arrivals = mergedArrivals(spec, seed)
-	}
-	return capture.Scenario{
-		Seed:             seed,
-		Cells:            []capture.Cell{{ID: 1, Profile: spec.Profile}},
-		Sessions:         []capture.Session{sess},
-		Population:       spec.Population,
-		Sniffer:          spec.Sniffer,
-		ApplyProfileLoss: spec.ApplyProfileLoss,
-		Metrics:          spec.Metrics,
 	}
 }
 

@@ -2,15 +2,20 @@
 // captures (one simulated cell + sniffer each) feeding streaming
 // classification pipelines, with rolling verdicts served over the obs
 // debug HTTP surface, pipeline state periodically checkpointed to
-// versioned snapshot files, and failed captures restarted from their last
-// checkpoint through the resilience primitives.
+// versioned snapshot files.
 //
-// The daemon's recovery contract is inherited from the stream package: a
-// capture restarted from a checkpoint re-simulates the deterministic
-// scenario up to the checkpoint time (discarding output), restores the
-// pipeline state, and then produces verdicts byte-identical to a run that
-// was never interrupted — the property the e2e kill-and-restart test
-// pins.
+// A capture fails in one way: a pipeline run returns an error, either
+// from setting up the capture or from a stage panic that the stream
+// package turns into an error (stream.Config.RecoverPanics). The
+// supervisor then restarts the capture from its last checkpoint after a
+// jittered exponential backoff, up to Config.MaxRestarts times, and marks
+// it failed (and /healthz degraded) when the budget is spent.
+//
+// The recovery contract is inherited from the stream package: a capture
+// restarted from a checkpoint re-simulates the deterministic scenario up
+// to the checkpoint time (discarding output), restores the pipeline state,
+// and then produces verdicts byte-identical to a run that was never
+// interrupted — the property the e2e kill-and-restart test pins.
 package daemon
 
 import (
@@ -26,7 +31,6 @@ import (
 	"ltefp/internal/capture"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/obs"
-	"ltefp/internal/resilience"
 	"ltefp/internal/sim"
 	"ltefp/internal/sniffer"
 	"ltefp/internal/stream"
@@ -54,10 +58,6 @@ type Spec struct {
 	BackgroundApps int
 }
 
-// baselineCorruption mirrors the capture CLI's blind-decode corruption
-// floor.
-const baselineCorruption = 0.002
-
 // scenario builds the capture scenario for a spec.
 func (s Spec) scenario(metrics obs.Scope) (capture.Scenario, error) {
 	network := s.Network
@@ -76,21 +76,16 @@ func (s Spec) scenario(metrics obs.Scope) (capture.Scenario, error) {
 	if dur <= 0 {
 		dur = time.Minute
 	}
-	return capture.Scenario{
-		Seed:  s.Seed,
-		Cells: []capture.Cell{{ID: 1, Profile: prof}},
-		Sessions: []capture.Session{{
-			UE:       "victim",
-			CellID:   1,
-			App:      app,
-			Start:    500 * time.Millisecond,
-			Duration: dur,
-			Day:      s.Day,
-		}},
-		Sniffer:          sniffer.Config{CorruptProb: baselineCorruption, DownlinkOnly: s.DownlinkOnly},
+	return fingerprint.VictimScenario(fingerprint.CollectSpec{
+		Profile:          prof,
+		App:              app,
+		SessionDur:       dur,
+		Day:              s.Day,
+		Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: s.DownlinkOnly},
 		ApplyProfileLoss: true,
+		BackgroundApps:   s.BackgroundApps,
 		Metrics:          metrics,
-	}, nil
+	}, s.Seed), nil
 }
 
 // Config assembles a daemon.
@@ -127,9 +122,8 @@ type Config struct {
 
 	// MaxRestarts bounds restarts per capture (default 5; <0 unbounded).
 	MaxRestarts int
-	// RestartBackoff paces restarts (default resilience.NewBackoff with
-	// seed 1).
-	RestartBackoff resilience.Backoff
+	// RestartBackoff paces restarts (default NewBackoff with seed 1).
+	RestartBackoff Backoff
 	// Sleep replaces the restart wait (tests inject instant sleeps).
 	Sleep func(ctx context.Context, d time.Duration) error
 
@@ -155,12 +149,46 @@ func (c Config) withDefaults() Config {
 		c.MaxRestarts = 5
 	}
 	if c.RestartBackoff.Base == 0 {
-		c.RestartBackoff = resilience.NewBackoff(sim.NewRNG(1))
+		c.RestartBackoff = NewBackoff(sim.NewRNG(1))
 	}
 	if c.TailSpan == 0 {
 		c.TailSpan = 30 * time.Second
 	}
 	return c
+}
+
+// Backoff computes jittered exponential restart delays: attempt n
+// (0-based) waits Base·Factor^n, capped at Max, with the final delay drawn
+// uniformly from [delay·(1−Jitter), delay]. The zero value is unusable;
+// use NewBackoff for the daemon's defaults.
+type Backoff struct {
+	Base   time.Duration
+	Max    time.Duration
+	Factor float64
+	// Jitter is the fraction of the delay randomised away (0 disables,
+	// 0.5 means delays land in [half, full]).
+	Jitter float64
+	// RNG drives the jitter draws (required when Jitter > 0).
+	RNG *sim.RNG
+}
+
+// NewBackoff returns the daemon's default schedule: 100 ms doubling to a
+// 10 s cap with 50% jitter.
+func NewBackoff(rng *sim.RNG) Backoff {
+	return Backoff{Base: 100 * time.Millisecond, Max: 10 * time.Second, Factor: 2, Jitter: 0.5, RNG: rng}
+}
+
+// Delay returns the wait before restart attempt n (0-based).
+func (b Backoff) Delay(attempt int) time.Duration {
+	d := float64(b.Base)
+	for i := 0; i < attempt && d < float64(b.Max); i++ {
+		d *= b.Factor
+	}
+	d = min(d, float64(b.Max))
+	if b.Jitter > 0 && b.RNG != nil {
+		d *= 1 - b.Jitter*b.RNG.Float64()
+	}
+	return time.Duration(d)
 }
 
 // State is a capture's lifecycle position.
@@ -206,6 +234,9 @@ type Daemon struct {
 	caps []*captureRun
 
 	outMu sync.Mutex
+	// backoffMu serialises restart delays: captures restart concurrently
+	// and share cfg.RestartBackoff's jitter RNG.
+	backoffMu sync.Mutex
 
 	modelSections map[string][]byte // cached encoded classifier, nil until first checkpoint use
 
@@ -324,7 +355,10 @@ func (d *Daemon) runCapture(ctx context.Context, cr *captureRun) error {
 		}
 		cr.setState(StateRestarting)
 		d.printf("[%s] restarting after error: %v\n", cr.spec.Name, err)
-		if slp(ctx, d.cfg.RestartBackoff.Delay(attempt)) != nil {
+		d.backoffMu.Lock()
+		wait := d.cfg.RestartBackoff.Delay(attempt)
+		d.backoffMu.Unlock()
+		if slp(ctx, wait) != nil {
 			cr.setState(StateStopped)
 			return nil
 		}

@@ -138,6 +138,36 @@ func TestDaemonRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestDaemonBackgroundApps pins that a spec's BackgroundApps reaches the
+// scenario: the same capture with noise apps overlaid on the victim UE
+// records more than without them.
+func TestDaemonBackgroundApps(t *testing.T) {
+	quiet := daemon.Spec{Name: "quiet", Network: "Lab", App: "YouTube", Duration: 12 * time.Second, Seed: 7}
+	noisy := quiet
+	noisy.Name, noisy.BackgroundApps = "noisy", 3
+	d, err := daemon.New(daemon.Config{Classifier: classifier(t), Specs: []daemon.Spec{quiet, noisy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	d.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h daemon.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Captures) != 2 {
+		t.Fatalf("healthz lists %d captures, want 2", len(h.Captures))
+	}
+	q, n := h.Captures[0].Records, h.Captures[1].Records
+	t.Logf("records: %d without noise, %d with BackgroundApps 3", q, n)
+	if n <= q {
+		t.Fatalf("BackgroundApps 3 recorded %d records, no more than the %d without noise", n, q)
+	}
+}
+
 // TestDaemonCheckpointRestartConvergence is the tentpole property in
 // process form: interrupt a daemon mid-capture, start a fresh daemon on
 // the same checkpoint directory, and the resumed verdict stream is

@@ -123,11 +123,6 @@ func prfFor(conf *metrics.Confusion, class int) PRF {
 	}
 }
 
-// snifferCorruption is the baseline decode-corruption rate applied in
-// every capture: blind PDCCH decoding always yields a trickle of bogus
-// candidates that the plausibility filter must remove.
-const snifferCorruption = 0.002
-
 // appData holds one app's windows split by session for one setting.
 type appData struct {
 	app      appmodel.App

@@ -69,7 +69,7 @@ type driftHorizon struct {
 }
 
 // driftSniffer is the attacker's sniffer on the drift horizon.
-var driftSniffer = sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true}
+var driftSniffer = sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true}
 
 // newDriftHorizon trains the static attacker and collects every day's
 // evaluation campaigns, one worker-pool task per session.

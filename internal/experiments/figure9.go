@@ -35,7 +35,7 @@ type Figure9Result struct {
 // Figure9 sweeps the number of background apps on the victim UE.
 func Figure9(scale Scale, seed uint64) (*Figure9Result, error) {
 	prof := operator.TMobile()
-	cfg := sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true}
+	cfg := sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true}
 	data, err := collectSetting(prof, scale, 1, seed+9973, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: figure 9 training: %w", err)

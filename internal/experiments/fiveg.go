@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"ltefp/internal/appmodel"
+	"ltefp/internal/attack/fingerprint"
 	"ltefp/internal/capture"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/sniffer"
@@ -57,18 +57,14 @@ func Concealment(scale Scale, seed uint64) (*ConcealmentResult, error) {
 	} {
 		// A messaging victim: its idle lulls force repeated reconnections,
 		// each a fresh mapping opportunity (or, concealed, a dead end).
-		cap, err := capture.Run(capture.Scenario{
-			Seed:  seed + 6700417,
-			Cells: []capture.Cell{{ID: 1, Profile: cfg.prof}},
-			Sessions: []capture.Session{{
-				UE: "victim", CellID: 1, App: app,
-				Start:    500 * time.Millisecond,
-				Duration: scale.MsgDur * 2,
-			}},
+		cap, err := capture.Run(fingerprint.VictimScenario(fingerprint.CollectSpec{
+			Profile:          cfg.prof,
+			App:              app,
+			SessionDur:       scale.MsgDur * 2,
 			Population:       scale.Population,
-			Sniffer:          sniffer.Config{CorruptProb: snifferCorruption},
+			Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption},
 			ApplyProfileLoss: true,
-		})
+		}, seed+6700417))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: concealment (%s): %w", cfg.name, err)
 		}

@@ -117,7 +117,7 @@ func Pareto(scale Scale, seed uint64) (*ParetoResult, error) {
 		// The same seed across compositions keeps the victims' traffic
 		// programs identical, so rows differ only by the defense.
 		data, err := collectSetting(prof, scale, 1, seed+15485863,
-			sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true})
+			sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true})
 		if err != nil {
 			return fmt.Errorf("experiments: pareto (%s): %w", configs[i].name, err)
 		}
@@ -186,20 +186,14 @@ func Pareto(scale Scale, seed uint64) (*ParetoResult, error) {
 // program under the composition.
 func measureAirBytes(prof operator.Profile, scale Scale, seed uint64) (int64, error) {
 	streaming := appmodel.ByCategory(appmodel.Streaming)
-	res, err := capture.RunCached(capture.Scenario{
-		Seed:  seed + 32452843,
-		Cells: []capture.Cell{{ID: 1, Profile: prof}},
-		Sessions: []capture.Session{{
-			UE:       "victim",
-			CellID:   1,
-			App:      streaming[0],
-			Start:    500 * time.Millisecond,
-			Duration: scale.StreamDur,
-			Day:      1,
-		}},
+	res, err := capture.RunCached(fingerprint.VictimScenario(fingerprint.CollectSpec{
+		Profile:    prof,
+		App:        streaming[0],
+		SessionDur: scale.StreamDur,
+		Day:        1,
 		Population: scale.Population,
 		Metrics:    pipelineScope(),
-	})
+	}, seed+32452843))
 	if err != nil {
 		return 0, err
 	}

@@ -54,7 +54,7 @@ type TableIIIResult struct {
 // cache: line of the metrics report.
 func TableIII(scale Scale, seed uint64) (*TableIIIResult, error) {
 	apps := appmodel.Apps()
-	cfg := sniffer.Config{CorruptProb: snifferCorruption}
+	cfg := sniffer.Config{CorruptProb: sniffer.BaselineCorruption}
 	variants := Variants()
 	confs := make([]*metrics.Confusion, len(variants))
 	err := forEach(len(variants), func(vi int) error {

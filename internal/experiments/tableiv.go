@@ -34,7 +34,7 @@ func TableIV(scale Scale, seed uint64) (*TableIVResult, error) {
 	err := forEach(len(carriers), func(ci int) error {
 		prof := carriers[ci]
 		data, err := collectSetting(prof, scale, 1, seed+uint64(ci+1)*104729,
-			sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true})
+			sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true})
 		if err != nil {
 			return fmt.Errorf("experiments: table IV: %w", err)
 		}

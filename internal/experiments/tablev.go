@@ -48,7 +48,7 @@ var tableVItinerary = []itineraryEntry{
 // runs the multi-zone history attack over the Table V itinerary.
 func TableV(scale Scale, seed uint64) (*TableVResult, error) {
 	prof := operator.TMobile()
-	cfg := sniffer.Config{CorruptProb: snifferCorruption}
+	cfg := sniffer.Config{CorruptProb: sniffer.BaselineCorruption}
 
 	data, err := collectSetting(prof, scale, 1, seed+31337, cfg)
 	if err != nil {

@@ -63,35 +63,53 @@ func TableVIandVII(scale Scale, seed uint64) (*TableVIResult, *TableVIIResult, e
 	n := scale.PairsPerSetting
 	trainN := n - (n+2)/3 // hold out roughly a third of pairs per label
 
-	for si, prof := range correlationSettings() {
+	// Every (setting, app, pair) capture is one task on the experiment
+	// pool. evidence[si][ai] holds the app's 2n pairs in the setting:
+	// [0:n) communicating, [n:2n) not.
+	settings := correlationSettings()
+	evidence := make([][][]correlation.Evidence, len(settings))
+	for si := range evidence {
+		evidence[si] = make([][]correlation.Evidence, len(apps))
+		for ai := range apps {
+			evidence[si][ai] = make([]correlation.Evidence, 2*n)
+		}
+	}
+	perSetting := len(apps) * 2 * n
+	err := forEach(len(settings)*perSetting, func(k int) error {
+		si, ai, i := k/perSetting, k%perSetting/(2*n), k%(2*n)
+		prof, app := settings[si], apps[ai]
+		ev, err := correlation.CollectPairAt(correlation.PairSpec{
+			Profile:          prof,
+			App:              app,
+			Duration:         scale.PairDur,
+			Seed:             seed + uint64(si+1)*15485863 + uint64(ai+1)*32452843,
+			Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption},
+			ApplyProfileLoss: true,
+		}, n, i)
+		if err != nil {
+			return fmt.Errorf("experiments: table VI/VII %s/%s: %w", prof.Name, app.Name, err)
+		}
+		evidence[si][ai][i] = ev
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	for si, prof := range settings {
 		vi.Settings = append(vi.Settings, prof.Name)
 		vii.Settings = append(vii.Settings, prof.Name)
 		vi.Cells[prof.Name] = make(map[string]SimilarityStat)
 		vii.Cells[prof.Name] = make(map[string]metrics.BinaryCounts)
-
-		// Per-app evidence: ev[app][0:n] communicating, ev[app][n:2n] not.
-		evidence := make(map[string][]correlation.Evidence, len(apps))
 		for ai, app := range apps {
-			ev, err := correlation.CollectPairs(correlation.PairSpec{
-				Profile:          prof,
-				App:              app,
-				Duration:         scale.PairDur,
-				Seed:             seed + uint64(si+1)*15485863 + uint64(ai+1)*32452843,
-				Sniffer:          sniffer.Config{CorruptProb: snifferCorruption},
-				ApplyProfileLoss: true,
-			}, n)
-			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: table VI/VII %s/%s: %w", prof.Name, app.Name, err)
-			}
-			evidence[app.Name] = ev
-			vi.Cells[prof.Name][app.Name] = similarityStat(ev[:n])
+			vi.Cells[prof.Name][app.Name] = similarityStat(evidence[si][ai][:n])
 		}
 
 		// Table VII: one contact model per setting, trained on the first
 		// trainN pairs of each label across all apps, tested on the rest.
 		var train []correlation.Evidence
-		for _, app := range apps {
-			ev := evidence[app.Name]
+		for ai := range apps {
+			ev := evidence[si][ai]
 			train = append(train, ev[:trainN]...)
 			train = append(train, ev[n:n+trainN]...)
 		}
@@ -99,8 +117,8 @@ func TableVIandVII(scale Scale, seed uint64) (*TableVIResult, *TableVIIResult, e
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: table VII %s: %w", prof.Name, err)
 		}
-		for _, app := range apps {
-			ev := evidence[app.Name]
+		for ai, app := range apps {
+			ev := evidence[si][ai]
 			var bc metrics.BinaryCounts
 			for _, e := range append(append([]correlation.Evidence{}, ev[trainN:n]...), ev[n+trainN:]...) {
 				bc.Add(e.Communicating, model.Predict(e))

@@ -69,7 +69,7 @@ func TableVIII(scale Scale, seed uint64) (*TableVIIIResult, error) {
 			Sessions:         sessions,
 			SessionDur:       dur,
 			Seed:             seed + 2749 + uint64(ai+1)*7919,
-			Sniffer:          sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true},
+			Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true},
 			ApplyProfileLoss: true,
 			Population:       scale.Population,
 			Metrics:          pipelineScope(),

@@ -71,7 +71,7 @@ func TwSweep(scale Scale, seed uint64) (*TwSweepResult, error) {
 				Communicating:    communicating,
 				Duration:         scale.PairDur,
 				Seed:             seed + offset + uint64(i)*7561,
-				Sniffer:          sniffer.Config{CorruptProb: snifferCorruption},
+				Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption},
 				ApplyProfileLoss: true,
 			})
 			if err != nil {

@@ -56,7 +56,7 @@ func WindowSweep(scale Scale, seed uint64) (*WindowSweepResult, error) {
 			Sessions:         sessions,
 			SessionDur:       dur,
 			Seed:             seed + 52289 + uint64(i+1)*7919,
-			Sniffer:          sniffer.Config{CorruptProb: snifferCorruption, DownlinkOnly: true},
+			Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true},
 			ApplyProfileLoss: true,
 			Population:       scale.Population,
 			Metrics:          pipelineScope(),

@@ -27,6 +27,11 @@ import (
 	"ltefp/internal/trace"
 )
 
+// BaselineCorruption is the decode-corruption rate every attacker
+// capture applies: blind PDCCH decoding always yields a trickle of bogus
+// candidates that the plausibility filter must remove.
+const BaselineCorruption = 0.002
+
 // Config controls a sniffer's capture fidelity and coverage.
 type Config struct {
 	// LossProb is the probability a PDCCH message is missed entirely.

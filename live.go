@@ -83,15 +83,11 @@ func LiveCapture(ctx context.Context, opts LiveOptions) (*LiveStats, error) {
 	if opts.Model == nil {
 		return nil, fmt.Errorf("ltefp: LiveOptions.Model is required")
 	}
-	prof, app, err := resolve(opts.Capture.Network, opts.Capture.App)
+	sc, err := victimScenario(opts.Capture)
 	if err != nil {
 		return nil, err
 	}
-	opts.Capture.Defenses.apply(&prof)
-	if opts.Capture.Duration <= 0 {
-		opts.Capture.Duration = time.Minute
-	}
-	live, err := capture.NewLive(scenarioFor(opts.Capture, prof, app))
+	live, err := capture.NewLive(sc)
 	if err != nil {
 		return nil, fmt.Errorf("ltefp: %w", err)
 	}

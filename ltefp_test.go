@@ -28,12 +28,27 @@ func TestAppsAndNetworks(t *testing.T) {
 	}
 }
 
+// TestCaptureValidation pins that both single-victim paths validate their
+// options the same way: an invalid name or defense never reaches a
+// capture, batch or streaming.
 func TestCaptureValidation(t *testing.T) {
-	if _, err := ltefp.Capture(ltefp.CaptureOptions{App: "Snapchat"}); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-	if _, err := ltefp.Capture(ltefp.CaptureOptions{Network: "Sprint", App: "Netflix"}); err == nil {
-		t.Fatal("unknown network accepted")
+	fp := trainTiny(t)
+	for name, opts := range map[string]ltefp.CaptureOptions{
+		"unknown app":     {App: "Snapchat"},
+		"unknown network": {Network: "Sprint", App: "Netflix"},
+		// 500 µs truncates to zero TTIs: an undefended capture that
+		// claims to be defended.
+		"sub-TTI constant rate": {App: "Skype", Defenses: ltefp.Defense{ConstantRatePeriod: 500 * time.Microsecond, ConstantRateBytes: 100}},
+		"negative RNTI refresh": {App: "Skype", Defenses: ltefp.Defense{RNTIRefresh: -time.Second}},
+		"dummy burst odds > 1":  {App: "Skype", Defenses: ltefp.Defense{DummyBurstProb: 2, DummyBurstMaxBytes: 100}},
+	} {
+		opts.Duration = 2 * time.Second
+		if _, err := ltefp.Capture(opts); err == nil {
+			t.Errorf("%s: Capture accepted %+v", name, opts)
+		}
+		if _, err := ltefp.LiveCapture(context.Background(), ltefp.LiveOptions{Capture: opts, Model: fp}); err == nil {
+			t.Errorf("%s: LiveCapture accepted %+v", name, opts)
+		}
 	}
 }
 

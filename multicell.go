@@ -162,7 +162,7 @@ func MultiCellCapture(opts MultiCellOptions) (*MultiCellResult, error) {
 		}},
 		Moves:            moves,
 		Population:       opts.Population,
-		Sniffer:          sniffer.Config{CorruptProb: baselineCorruption},
+		Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption},
 		ApplyProfileLoss: true,
 		Workers:          opts.Workers,
 	}

@@ -137,7 +137,7 @@ func PresenceProbe(opts PresenceOptions) (*PresenceResult, error) {
 		}},
 		Population:       opts.Population,
 		Workers:          opts.Workers,
-		Sniffer:          sniffer.Config{CorruptProb: baselineCorruption, DownlinkOnly: true},
+		Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true},
 		ApplyProfileLoss: true,
 	}
 	res, err := capture.Run(sc)
