@@ -44,3 +44,4 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/artifact -run '^$$' -fuzz 'FuzzArtifactDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/attack/fingerprint -run '^$$' -fuzz 'FuzzClassifierSections' -fuzztime $(FUZZTIME)

@@ -126,7 +126,8 @@ func (f *Fingerprinter) Identify(records []Record) Identification {
 	}
 }
 
-// Save serialises the trained model (encoding/gob).
+// Save serialises the trained model as a versioned, checksummed snapshot
+// container (the model file ltetrain writes and lteattack reads).
 func (f *Fingerprinter) Save(w io.Writer) error {
 	if err := f.clf.Save(w); err != nil {
 		return fmt.Errorf("ltefp: %w", err)

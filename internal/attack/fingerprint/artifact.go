@@ -1,7 +1,6 @@
 package fingerprint
 
 import (
-	"bytes"
 	"fmt"
 
 	"ltefp/internal/appmodel"
@@ -116,34 +115,35 @@ func CollectWindows(spec CollectSpec, session int, filter DirectionFilter) ([][]
 	return v.([][]float64), nil
 }
 
-// classifierCodec persists a trained classifier, reusing the Save/Load
-// container (persist.go) as the payload so the structural validation of
-// decodeForest guards cache entries exactly as it guards model files.
+// classifierCodec persists a trained classifier as the model file's meta
+// and model payloads written back to back, decoded by the same validating
+// decoder as FromSections, so structural validation guards cache entries
+// exactly as it guards model files.
 type classifierCodec struct{}
 
 func (classifierCodec) Kind() artifact.Kind { return artifact.KindForest }
 
-func (classifierCodec) Version() uint32 { return 1 }
+func (classifierCodec) Version() uint32 { return 2 }
 
 func (classifierCodec) Encode(e *snapshot.Encoder, v any) error {
 	c, ok := v.(*Classifier)
 	if !ok {
 		return fmt.Errorf("fingerprint: classifier codec got %T", v)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return err
-	}
-	e.Blob(buf.Bytes())
+	c.encodeMeta(e)
+	c.encodeModel(e)
 	return nil
 }
 
 func (classifierCodec) Decode(d *snapshot.Decoder) (any, error) {
-	b := d.Blob()
-	if err := d.Err(); err != nil {
+	c := &Classifier{}
+	if err := c.decodeMeta(d); err != nil {
 		return nil, err
 	}
-	return Load(bytes.NewReader(b))
+	if err := c.decodeModel(d); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 func (classifierCodec) Size(v any) int64 {
@@ -153,16 +153,11 @@ func (classifierCodec) Size(v any) int64 {
 	}
 	sz := int64(256)
 	if c.Category != nil {
-		for i := range c.Category.Trees {
-			sz += int64(len(c.Category.Trees[i].Nodes)) * 48
-		}
+		sz += c.Category.Size()
 	}
 	for _, f := range c.PerCategory {
-		if f == nil {
-			continue
-		}
-		for i := range f.Trees {
-			sz += int64(len(f.Trees[i].Nodes)) * 48
+		if f != nil {
+			sz += f.Size()
 		}
 	}
 	return sz

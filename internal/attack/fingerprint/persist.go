@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ltefp/internal/appmodel"
+	"ltefp/internal/features"
 	"ltefp/internal/ml/forest"
 	"ltefp/internal/snapshot"
 )
@@ -54,29 +55,16 @@ func Load(r io.Reader) (*Classifier, error) {
 }
 
 // AppendTo writes the classifier's sections into an open snapshot
-// container. Per-category forests are written in ascending category
-// order, so equal classifiers always produce equal bytes.
+// container.
 func (c *Classifier) AppendTo(w *snapshot.Writer) error {
 	meta := snapshot.NewEncoder(32)
-	meta.Duration(c.Window)
-	meta.Duration(c.Stride)
+	c.encodeMeta(meta)
 	if err := w.Section(SectionMeta, meta.Bytes()); err != nil {
 		return err
 	}
-
-	e := snapshot.NewEncoder(1 << 16)
-	encodeForest(e, c.Category)
-	cats := make([]int, 0, len(c.PerCategory))
-	for cat := range c.PerCategory {
-		cats = append(cats, int(cat))
-	}
-	sort.Ints(cats)
-	e.Uvarint(uint64(len(cats)))
-	for _, cat := range cats {
-		e.Varint(int64(cat))
-		encodeForest(e, c.PerCategory[appmodel.Category(cat)])
-	}
-	return w.Section(SectionModel, e.Bytes())
+	model := snapshot.NewEncoder(1 << 16)
+	c.encodeModel(model)
+	return w.Section(SectionModel, model.Bytes())
 }
 
 // FromSections rebuilds a classifier from a decoded container's sections,
@@ -90,38 +78,17 @@ func FromSections(sections map[string][]byte) (*Classifier, error) {
 	if !ok {
 		return nil, fmt.Errorf("missing section %q", SectionModel)
 	}
-
+	c := &Classifier{}
 	md := snapshot.NewDecoder(metaRaw)
-	c := &Classifier{
-		Window: md.Duration(),
-		Stride: md.Duration(),
+	if err := c.decodeMeta(md); err != nil {
+		return nil, err
 	}
 	if err := md.Finish(); err != nil {
 		return nil, fmt.Errorf("classifier meta: %w", err)
 	}
-	if c.Window <= 0 || c.Stride <= 0 {
-		return nil, fmt.Errorf("classifier meta: invalid window %v / stride %v", c.Window, c.Stride)
-	}
-
 	d := snapshot.NewDecoder(modelRaw)
-	var err error
-	if c.Category, err = decodeForest(d); err != nil {
-		return nil, fmt.Errorf("category forest: %w", err)
-	}
-	n := d.Count(2)
-	c.PerCategory = make(map[appmodel.Category]*forest.Forest, n)
-	prev := int64(-1 << 62)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		cat := d.Varint()
-		if cat <= prev {
-			return nil, fmt.Errorf("per-category forests not in ascending order")
-		}
-		prev = cat
-		f, err := decodeForest(d)
-		if err != nil {
-			return nil, fmt.Errorf("forest for category %d: %w", cat, err)
-		}
-		c.PerCategory[appmodel.Category(cat)] = f
+	if err := c.decodeModel(d); err != nil {
+		return nil, err
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("classifier model: %w", err)
@@ -129,93 +96,81 @@ func FromSections(sections map[string][]byte) (*Classifier, error) {
 	return c, nil
 }
 
-// encodeForest appends one forest (possibly nil) to the encoder: class
-// names, then each tree as a flat node array.
-func encodeForest(e *snapshot.Encoder, f *forest.Forest) {
-	if f == nil {
-		e.Bool(false)
-		return
+// encodeMeta writes the window parameters: the SectionMeta payload.
+func (c *Classifier) encodeMeta(e *snapshot.Encoder) {
+	e.Duration(c.Window)
+	e.Duration(c.Stride)
+}
+
+// decodeMeta reads what encodeMeta wrote.
+func (c *Classifier) decodeMeta(d *snapshot.Decoder) error {
+	c.Window = d.Duration()
+	c.Stride = d.Duration()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("classifier meta: %w", err)
 	}
-	e.Bool(true)
-	e.Uvarint(uint64(len(f.Classes)))
-	for _, c := range f.Classes {
-		e.Str(c)
+	if c.Window <= 0 || c.Stride <= 0 {
+		return fmt.Errorf("classifier meta: %w: invalid window %v / stride %v", snapshot.ErrCorrupt, c.Window, c.Stride)
 	}
-	e.Uvarint(uint64(len(f.Trees)))
-	for i := range f.Trees {
-		nodes := f.Trees[i].Nodes
-		e.Uvarint(uint64(len(nodes)))
-		for j := range nodes {
-			n := &nodes[j]
-			e.Varint(int64(n.Feature))
-			e.F64(n.Threshold)
-			e.Varint(int64(n.Left))
-			e.Varint(int64(n.Right))
-			e.Uvarint(uint64(len(n.Dist)))
-			for _, p := range n.Dist {
-				e.F32(p)
-			}
-		}
+	return nil
+}
+
+// encodeModel writes the forests, the SectionModel payload: the category
+// forest, then the per-category forests in ascending category order, so
+// equal classifiers always produce equal bytes.
+func (c *Classifier) encodeModel(e *snapshot.Encoder) {
+	forest.Encode(e, c.Category)
+	cats := make([]int, 0, len(c.PerCategory))
+	for cat := range c.PerCategory {
+		cats = append(cats, int(cat))
+	}
+	sort.Ints(cats)
+	e.Uvarint(uint64(len(cats)))
+	for _, cat := range cats {
+		e.Varint(int64(cat))
+		forest.Encode(e, c.PerCategory[appmodel.Category(cat)])
 	}
 }
 
-// decodeForest reads one forest, validating the tree structure: internal
-// nodes must point at in-range children, leaves must carry a class
-// distribution over the declared classes.
-func decodeForest(d *snapshot.Decoder) (*forest.Forest, error) {
-	if !d.Bool() {
-		if d.Err() != nil {
-			return nil, d.Err()
+// decodeModel reads what encodeModel wrote and checks the hierarchy is
+// complete: a category forest over every category and, for each category,
+// an app forest over its apps, all splitting on window features only. A
+// classifier decodeModel accepts can classify any window vector.
+func (c *Classifier) decodeModel(d *snapshot.Decoder) error {
+	cats := appmodel.Categories()
+	var err error
+	if c.Category, err = forest.Decode(d, features.TotalDim); err != nil {
+		return fmt.Errorf("category forest: %w", err)
+	}
+	if c.Category == nil || len(c.Category.Classes) != len(cats) {
+		return fmt.Errorf("category forest: %w: want %d classes", snapshot.ErrCorrupt, len(cats))
+	}
+	n := d.Count(2)
+	c.PerCategory = make(map[appmodel.Category]*forest.Forest, n)
+	prev := int64(-1 << 62)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		cat := d.Varint()
+		if cat <= prev {
+			return fmt.Errorf("%w: per-category forests not in ascending order", snapshot.ErrCorrupt)
 		}
-		return nil, nil
-	}
-	f := &forest.Forest{}
-	nClasses := d.Count(1)
-	for i := 0; i < nClasses && d.Err() == nil; i++ {
-		f.Classes = append(f.Classes, d.Str())
-	}
-	nTrees := d.Count(1)
-	for i := 0; i < nTrees && d.Err() == nil; i++ {
-		nNodes := d.Count(12) // feature + 8-byte threshold + left + right + dist count
-		if d.Err() != nil {
-			break
+		prev = cat
+		f, err := forest.Decode(d, features.TotalDim)
+		if err != nil {
+			return fmt.Errorf("forest for category %d: %w", cat, err)
 		}
-		nodes := make([]forest.Node, nNodes)
-		for j := range nodes {
-			n := &nodes[j]
-			n.Feature = int32(d.Varint())
-			n.Threshold = d.F64()
-			n.Left = int32(d.Varint())
-			n.Right = int32(d.Varint())
-			nDist := d.Count(4)
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			if nDist > 0 {
-				n.Dist = make([]float32, nDist)
-				for k := range n.Dist {
-					n.Dist[k] = d.F32()
-				}
-			}
-			switch {
-			case n.Feature == -1: // leaf
-				if len(n.Dist) != nClasses {
-					return nil, fmt.Errorf("leaf node %d/%d: %d-class distribution, forest has %d classes",
-						i, j, len(n.Dist), nClasses)
-				}
-			case n.Feature >= 0:
-				if n.Left <= int32(j) || int(n.Left) >= nNodes || n.Right <= int32(j) || int(n.Right) >= nNodes {
-					return nil, fmt.Errorf("node %d/%d: children (%d,%d) out of range [%d,%d)",
-						i, j, n.Left, n.Right, j+1, nNodes)
-				}
-			default:
-				return nil, fmt.Errorf("node %d/%d: invalid feature %d", i, j, n.Feature)
-			}
+		c.PerCategory[appmodel.Category(cat)] = f
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("classifier model: %w", err)
+	}
+	if len(c.PerCategory) != len(cats) {
+		return fmt.Errorf("%w: %d per-category forests, want %d", snapshot.ErrCorrupt, len(c.PerCategory), len(cats))
+	}
+	for _, cat := range cats {
+		f := c.PerCategory[cat]
+		if apps := len(appmodel.ByCategory(cat)); f == nil || len(f.Classes) != apps {
+			return fmt.Errorf("forest for category %d: %w: want %d classes", cat, snapshot.ErrCorrupt, apps)
 		}
-		f.Trees = append(f.Trees, forest.Tree{Nodes: nodes})
 	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return f, nil
+	return nil
 }

@@ -344,15 +344,20 @@ func (d *Daemon) runCapture(ctx context.Context, cr *captureRun) error {
 			cr.setState(StateStopped)
 			return nil
 		}
+		// A restart is counted only once one is scheduled, so a spent
+		// budget reads MaxRestarts, as its error says.
+		spent := d.cfg.MaxRestarts >= 0 && attempt >= d.cfg.MaxRestarts
 		cr.mu.Lock()
 		cr.lastErr = err
-		cr.restarts++
+		if !spent {
+			cr.restarts++
+		}
 		cr.mu.Unlock()
-		d.restartsC.Inc()
-		if d.cfg.MaxRestarts >= 0 && attempt >= d.cfg.MaxRestarts {
+		if spent {
 			cr.setState(StateFailed)
 			return fmt.Errorf("daemon: capture %q failed after %d restarts: %w", cr.spec.Name, attempt, err)
 		}
+		d.restartsC.Inc()
 		cr.setState(StateRestarting)
 		d.printf("[%s] restarting after error: %v\n", cr.spec.Name, err)
 		d.backoffMu.Lock()

@@ -68,10 +68,11 @@ func TestRestartBudget(t *testing.T) {
 		t.Fatal("Run reported no error for a capture that never ran")
 	}
 
-	// Every run fails, and the restart counters count failed runs: the
-	// first run plus maxRestarts restarts. Each sleep separates two runs.
-	if got := d.caps[0].restarts; got != maxRestarts+1 {
-		t.Errorf("runOnce failed %d times, want %d", got, maxRestarts+1)
+	// Every run fails: the first run plus maxRestarts restarts. The
+	// restart counters count restarts, not failed runs, and each sleep
+	// precedes one restart.
+	if got := d.caps[0].restarts; got != maxRestarts {
+		t.Errorf("restarts = %d, want %d", got, maxRestarts)
 	}
 	ref := NewBackoff(sim.NewRNG(9))
 	if len(slept) != maxRestarts {
@@ -82,8 +83,8 @@ func TestRestartBudget(t *testing.T) {
 			t.Errorf("sleep %d = %v, want Delay(%d) = %v", i, got, i, want)
 		}
 	}
-	if got := d.restartsC.Value(); got != maxRestarts+1 {
-		t.Errorf("capture_restarts counter = %d, want %d (one per failed run)", got, maxRestarts+1)
+	if got := d.restartsC.Value(); got != maxRestarts {
+		t.Errorf("capture_restarts counter = %d, want %d (one per restart)", got, maxRestarts)
 	}
 
 	rec := httptest.NewRecorder()
@@ -99,7 +100,7 @@ func TestRestartBudget(t *testing.T) {
 		t.Fatalf("healthz = %+v, want one degraded capture", h)
 	}
 	cs := h.Captures[0]
-	if cs.State != StateFailed || cs.LastErr == "" || cs.Restarts != maxRestarts+1 {
-		t.Errorf("capture status %+v, want failed with last_error set and %d restarts", cs, maxRestarts+1)
+	if cs.State != StateFailed || cs.LastErr == "" || cs.Restarts != maxRestarts {
+		t.Errorf("capture status %+v, want failed with last_error set and %d restarts", cs, maxRestarts)
 	}
 }

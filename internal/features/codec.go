@@ -31,16 +31,21 @@ func EncodeMatrix(e *snapshot.Encoder, m [][]float64) {
 // every row carries exactly TotalDim features — a matrix of any other
 // shape cannot have come from this pipeline. An empty matrix decodes as
 // nil, matching FromTrace on a silent trace.
+//
+// The rows are cut from one backing array, each with its capacity capped
+// at its length, so appending to a row reallocates it instead of
+// overwriting the next.
 func DecodeMatrix(d *snapshot.Decoder) ([][]float64, error) {
-	n := d.Count(2)
+	n := d.Count(1 + 8*TotalDim) // row length + TotalDim values
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	var m [][]float64
-	if n > 0 {
-		m = make([][]float64, 0, n)
+	if n == 0 {
+		return nil, nil
 	}
-	for i := 0; i < n; i++ {
+	m := make([][]float64, n)
+	backing := make([]float64, n*TotalDim)
+	for i := range m {
 		k := d.Count(8)
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -48,11 +53,11 @@ func DecodeMatrix(d *snapshot.Decoder) ([][]float64, error) {
 		if k != TotalDim {
 			return nil, fmt.Errorf("%w: feature row of %d values, schema has %d", snapshot.ErrCorrupt, k, TotalDim)
 		}
-		row := make([]float64, k)
+		row := backing[i*TotalDim : (i+1)*TotalDim : (i+1)*TotalDim]
 		for j := range row {
 			row[j] = d.F64()
 		}
-		m = append(m, row)
+		m[i] = row
 	}
 	return m, d.Err()
 }

@@ -20,8 +20,10 @@ func (f *Forest) PredictInto(x []float64, out []float64) int {
 	for i := range out {
 		out[i] = 0
 	}
-	for i := range f.Trees {
-		f.Trees[i].predict(x, out)
+	for _, root := range f.roots {
+		for c, p := range f.leaf(f.descend(root, x)) {
+			out[c] += p
+		}
 	}
 	return normalizeArgmax(out)
 }
@@ -55,11 +57,10 @@ func normalizeArgmax(out []float64) int {
 // chunks exactly like the worker pool does.
 const predictBatchChunk = 256
 
-// packedNode is the 16-byte traversal form of a Node used by batch
-// prediction: four nodes per cache line instead of one Node (48 bytes +
-// Dist header). Tree growth emits nodes in DFS preorder, so an internal
-// node's left child is always the next node — only the right index is
-// stored, and the ≤ branch is a plain increment.
+// node is the forest's 16-byte tree node, four to a cache line. Trees are
+// laid out in DFS preorder, so an internal node's left child is always the
+// next node — only the right index is stored, and the ≤ branch is a plain
+// increment.
 //
 // The threshold is held as its order-preserving integer key (orderedKey):
 // an unsigned compare is something the compiler will lower to a
@@ -69,7 +70,7 @@ const predictBatchChunk = 256
 // the node itself): no feature key is ever ≤ 0, so a step taken from a
 // leaf goes nowhere, the walker detects arrival as "the step did not
 // move", and the descent loop body needs no leaf branch at all.
-type packedNode struct {
+type node struct {
 	key   uint64
 	feat  int32
 	right int32
@@ -95,61 +96,14 @@ func orderedKey(f float64) uint64 {
 	return b | sign
 }
 
-// batchRep is the compact whole-forest form walked by predictChunk: all
-// trees' nodes in one flat array (start[t] is tree t's root, internal
-// right indices are absolute) and all leaf distributions in one arena,
-// with leafOff[i] giving node i's offset into it (valid only at leaves).
-// The arena is widened to float64 at build time — the float32→float64
-// conversion is exact, so hoisting it out of the accumulation loop cannot
-// change a single result bit.
-type batchRep struct {
-	nodes   []packedNode
-	start   []int32
-	leafOff []int32
-	dists   []float64
-}
-
-// packed returns the forest's compact traversal form, building it on
-// first use. The build is cheap (one pass over the nodes) relative to any
-// batch large enough to want this path.
-func (f *Forest) packed() *batchRep {
-	f.packOnce.Do(func() {
-		total := 0
-		for i := range f.Trees {
-			total += len(f.Trees[i].Nodes)
-		}
-		rep := &batchRep{
-			nodes:   make([]packedNode, total),
-			start:   make([]int32, len(f.Trees)),
-			leafOff: make([]int32, total),
-			dists:   make([]float64, 0, total*len(f.Classes)/2),
-		}
-		base := int32(0)
-		for ti := range f.Trees {
-			rep.start[ti] = base
-			for j := range f.Trees[ti].Nodes {
-				n := &f.Trees[ti].Nodes[j]
-				self := base + int32(j)
-				p := &rep.nodes[self]
-				if n.Feature == leafMark {
-					p.key = 0
-					p.feat = 0
-					p.right = self
-					rep.leafOff[self] = int32(len(rep.dists))
-					for _, d := range n.Dist {
-						rep.dists = append(rep.dists, float64(d))
-					}
-				} else {
-					p.key = orderedKey(n.Threshold)
-					p.feat = n.Feature
-					p.right = base + n.Right
-				}
-			}
-			base += int32(len(f.Trees[ti].Nodes))
-		}
-		f.pack = rep
-	})
-	return f.pack
+// keyFloat inverts orderedKey, returning the threshold a node's key was
+// made from (a -0 threshold comes back as +0, which splits identically).
+func keyFloat(k uint64) float64 {
+	const sign = 1 << 63
+	if k&sign != 0 {
+		return math.Float64frombits(k &^ sign)
+	}
+	return math.Float64frombits(^k)
 }
 
 // PredictBatch classifies every row of X and returns the predicted class
@@ -215,7 +169,7 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 	}
 	if len(X[0]) == 0 {
 		// Degenerate featureless rows: every tree is a bare leaf and the
-		// packed walk's probe of x[0] would be out of range.
+		// lane kernels' probe of x[0] would be out of range.
 		probs := s.probsFor(len(f.Classes))
 		for r, x := range X {
 			out[r] = f.PredictInto(x, probs)
@@ -224,7 +178,6 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 	}
 	classes := len(f.Classes)
 	dim := len(X[0])
-	rep := f.packed()
 	probs := s.probsFor(len(X) * classes)
 	keys := s.keysFor(len(X) * dim)
 	chunks := (len(X) + predictBatchChunk - 1) / predictBatchChunk
@@ -232,13 +185,13 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 	if workers <= 1 || chunks <= 1 {
 		// One sweep over the whole batch: reloading every tree per chunk
 		// costs more than letting the accumulators stream through cache.
-		f.predictChunk(rep, X, keys, probs, out)
+		f.predictChunk(X, keys, probs, out)
 		return
 	}
 	_ = par.For(chunks, workers, func(c int) error { // never fails
 		lo := c * predictBatchChunk
 		hi := min(lo+predictBatchChunk, len(X))
-		f.predictChunk(rep, X[lo:hi], keys[lo*dim:hi*dim], probs[lo*classes:hi*classes], out[lo:hi])
+		f.predictChunk(X[lo:hi], keys[lo*dim:hi*dim], probs[lo*classes:hi*classes], out[lo:hi])
 		return nil
 	})
 }
@@ -252,7 +205,7 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 // flushing the other's in-flight work on a misprediction. A lane that
 // lands early just re-selects its leaf until the deeper lane arrives; the
 // loop exits when neither lane moved.
-func treePair(nodes []packedNode, base int32, k0, k1 []uint64) (int32, int32) {
+func treePair(nodes []node, base int32, k0, k1 []uint64) (int32, int32) {
 	i0, i1 := base, base
 	for {
 		n0 := nodes[i0]
@@ -276,7 +229,7 @@ func treePair(nodes []packedNode, base int32, k0, k1 []uint64) (int32, int32) {
 
 // treeQuad is treePair over four lanes: deeper interleaving hides more of
 // the node-load latency as long as the selects stay branch-free.
-func treeQuad(nodes []packedNode, base int32, k0, k1, k2, k3 []uint64) (int32, int32, int32, int32) {
+func treeQuad(nodes []node, base int32, k0, k1, k2, k3 []uint64) (int32, int32, int32, int32) {
 	i0, i1, i2, i3 := base, base, base, base
 	for {
 		n0 := nodes[i0]
@@ -307,7 +260,7 @@ func treeQuad(nodes []packedNode, base int32, k0, k1, k2, k3 []uint64) (int32, i
 // offset into the flat keys matrix.
 const laneCount = 16
 
-func treeLanes(nodes []packedNode, base int32, keys []uint64, kb *[laneCount]int32) [laneCount]int32 {
+func treeLanes(nodes []node, base int32, keys []uint64, kb *[laneCount]int32) [laneCount]int32 {
 	var li [laneCount]int32
 	for l := range li {
 		li[l] = base
@@ -328,26 +281,25 @@ func treeLanes(nodes []packedNode, base int32, keys []uint64, kb *[laneCount]int
 	}
 }
 
-// predictChunk runs tree-major soft voting over one row chunk of the
-// packed representation: rows are first mapped onto their integer feature
+// predictChunk runs tree-major soft voting over one row chunk: rows are first mapped onto their integer feature
 // keys, then one tree's nodes stay hot in cache across all rows of the
 // chunk before the next tree starts, with rows descending in pairs (see
 // treePair). probs is a zeroed len(X)*classes accumulator and keys a
 // len(X)*dim scratch. Accumulation order (tree-major, then leaf
 // distribution order) matches per-row Predict exactly, so results are
 // bit-identical.
-func (f *Forest) predictChunk(rep *batchRep, X [][]float64, keys []uint64, probs []float64, out []int) {
+func (f *Forest) predictChunk(X [][]float64, keys []uint64, probs []float64, out []int) {
 	classes := len(f.Classes)
 	dim := len(X[0])
-	nodes := rep.nodes
-	dists := rep.dists
+	nodes := f.nodes
+	dists := f.dists
 	for r, x := range X {
 		kr := keys[r*dim : (r+1)*dim]
 		for j, v := range x {
 			kr[j] = orderedKey(v)
 		}
 	}
-	for _, base := range rep.start {
+	for _, base := range f.roots {
 		r := 0
 		for ; r+laneCount <= len(X); r += laneCount {
 			var kb [laneCount]int32
@@ -357,7 +309,7 @@ func (f *Forest) predictChunk(rep *batchRep, X [][]float64, keys []uint64, probs
 			li := treeLanes(nodes, base, keys, &kb)
 			for l, idx := range li {
 				row := probs[(r+l)*classes : (r+l+1)*classes]
-				off := rep.leafOff[idx]
+				off := f.leafOff[idx]
 				for c, p := range dists[off : off+int32(classes)] {
 					row[c] += p
 				}
@@ -369,7 +321,7 @@ func (f *Forest) predictChunk(rep *batchRep, X [][]float64, keys []uint64, probs
 				keys[(r+2)*dim:(r+3)*dim], keys[(r+3)*dim:(r+4)*dim])
 			for l, li := range [4]int32{l0, l1, l2, l3} {
 				row := probs[(r+l)*classes : (r+l+1)*classes]
-				off := rep.leafOff[li]
+				off := f.leafOff[li]
 				for c, p := range dists[off : off+int32(classes)] {
 					row[c] += p
 				}
@@ -378,12 +330,12 @@ func (f *Forest) predictChunk(rep *batchRep, X [][]float64, keys []uint64, probs
 		for ; r+2 <= len(X); r += 2 {
 			l0, l1 := treePair(nodes, base, keys[r*dim:(r+1)*dim], keys[(r+1)*dim:(r+2)*dim])
 			row := probs[r*classes : (r+1)*classes]
-			off := rep.leafOff[l0]
+			off := f.leafOff[l0]
 			for c, p := range dists[off : off+int32(classes)] {
 				row[c] += p
 			}
 			row = probs[(r+1)*classes : (r+2)*classes]
-			off = rep.leafOff[l1]
+			off = f.leafOff[l1]
 			for c, p := range dists[off : off+int32(classes)] {
 				row[c] += p
 			}
@@ -403,7 +355,7 @@ func (f *Forest) predictChunk(rep *batchRep, X [][]float64, keys []uint64, probs
 				i = j
 			}
 			row := probs[r*classes : (r+1)*classes]
-			off := rep.leafOff[i]
+			off := f.leafOff[i]
 			for c, p := range dists[off : off+int32(classes)] {
 				row[c] += p
 			}

@@ -12,6 +12,13 @@
 // the per-worker scratch buffers this makes tree growth allocation-free
 // after warm-up while producing trees bit-identical to the original
 // sort-per-node implementation (guarded by TestGoldenTrees).
+//
+// A forest has one representation (see Forest): a flat array of 16-byte
+// preorder nodes, per-tree root offsets and one leaf-distribution arena.
+// Train lays the grown trees out in it, every prediction path — per row,
+// batched, out-of-bag — and FeatureImportance walk it, and Encode and
+// Decode persist it in the model-file layout, which no other package
+// knows.
 package forest
 
 import (
@@ -20,7 +27,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"ltefp/internal/ml/dataset"
 	"ltefp/internal/par"
@@ -72,59 +78,65 @@ func (c Config) withDefaults(n, dim int) Config {
 	return c
 }
 
-// leafMark distinguishes leaves in the flat node array.
-const leafMark = -1
+// Forest is a trained random forest in its one in-memory form, the form
+// every prediction path walks, Encode writes and Decode fills: all trees'
+// nodes in one flat array (see node), tree after tree, each tree in DFS
+// preorder so an internal node's left child is the next node; roots[t] is
+// tree t's first node and every right index is absolute. Leaf class
+// distributions live in one arena, leafOff[i] giving leaf i's offset into
+// it (zero at internal nodes). The arena holds float64: distributions are
+// computed and persisted as float32, and widening them once here is exact,
+// so accumulating them cannot change a result bit.
+type Forest struct {
+	Classes []string
 
-// Node is one flat-array tree node. Leaves have Feature == leafMark and a
-// class distribution; internal nodes route on X[Feature] <= Threshold.
-type Node struct {
-	Feature   int32
-	Threshold float64
-	Left      int32
-	Right     int32
-	Dist      []float32
+	nodes   []node
+	roots   []int32
+	leafOff []int32
+	dists   []float64
 }
 
-// Tree is one CART tree in flat-array form.
-type Tree struct {
-	Nodes []Node
+// leaf returns leaf i's class distribution.
+func (f *Forest) leaf(i int32) []float64 {
+	off := f.leafOff[i]
+	return f.dists[off : off+int32(len(f.Classes))]
 }
 
-// predict accumulates the leaf distribution for x into out.
-func (t *Tree) predict(x []float64, out []float64) {
-	i := int32(0)
+// treeEnd returns one past tree t's last node.
+func (f *Forest) treeEnd(t int) int32 {
+	if t+1 < len(f.roots) {
+		return f.roots[t+1]
+	}
+	return int32(len(f.nodes))
+}
+
+// descend walks x from node i down to its leaf and returns the leaf's
+// index. It compares the same ordered keys as the batch kernels, so a row
+// lands on the same leaf whichever path classifies it.
+func (f *Forest) descend(i int32, x []float64) int32 {
 	for {
-		n := &t.Nodes[i]
-		if n.Feature == leafMark {
-			for c, p := range n.Dist {
-				out[c] += float64(p)
-			}
-			return
+		n := f.nodes[i]
+		if n.right == i {
+			return i
 		}
-		if x[n.Feature] <= n.Threshold {
-			i = n.Left
+		if orderedKey(x[n.feat]) <= n.key {
+			i++
 		} else {
-			i = n.Right
+			i = n.right
 		}
 	}
 }
 
-// Forest is a trained random forest.
-type Forest struct {
-	Trees   []Tree
-	Classes []string
-
-	// packOnce guards pack, the lazily built compact traversal form used
-	// by the batch prediction path. Both are unexported so gob round-trips
-	// ignore them; a decoded Forest simply rebuilds on first batch call.
-	packOnce sync.Once
-	pack     *batchRep
+// Size returns the bytes the forest's arrays occupy.
+func (f *Forest) Size() int64 {
+	return int64(len(f.nodes))*16 + int64(len(f.roots)+len(f.leafOff))*4 + int64(len(f.dists))*8
 }
 
 // Train fits a forest on the dataset. Trees are grown on up to
 // cfg.Workers goroutines (par.Workers), each from a deterministic per-tree
 // stream, so results do not depend on scheduling; each goroutine reuses
-// one grower's scratch buffers across all the trees it grows.
+// one grower's scratch buffers across all the trees it grows. The trees
+// are then laid out in tree order in the forest's flat arrays.
 func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("forest: %w", err)
@@ -140,15 +152,45 @@ func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 		m.trainRows.Add(int64(d.Len()))
 	}
 	cfg = cfg.withDefaults(d.Len(), d.Dim())
-	f := &Forest{Trees: make([]Tree, cfg.Trees), Classes: d.Classes}
+	trees := make([]grownTree, cfg.Trees)
 	cols := columnOrders(d, cfg.Workers)
 
 	par.Workers(cfg.Trees, cfg.Workers, func(_ int, next func() (int, bool)) {
 		g := newGrower(d, cfg, cols)
 		for t, ok := next(); ok; t, ok = next() {
-			f.Trees[t] = g.grow(treeRNG(cfg.Seed, t))
+			trees[t] = g.grow(treeRNG(cfg.Seed, t))
 		}
 	})
+
+	nodes, dists := 0, 0
+	for _, t := range trees {
+		nodes += len(t.nodes)
+		dists += len(t.dists)
+	}
+	f := &Forest{
+		Classes: d.Classes,
+		nodes:   make([]node, 0, nodes),
+		roots:   make([]int32, len(trees)),
+		leafOff: make([]int32, nodes),
+		dists:   make([]float64, 0, dists),
+	}
+	classes := int32(len(d.Classes))
+	for ti, t := range trees {
+		base := int32(len(f.nodes))
+		off := int32(len(f.dists))
+		f.roots[ti] = base
+		for j, n := range t.nodes {
+			if n.right == int32(j) {
+				f.leafOff[base+int32(j)] = off
+				off += classes
+			}
+			n.right += base
+			f.nodes = append(f.nodes, n)
+		}
+		for _, p := range t.dists {
+			f.dists = append(f.dists, float64(p))
+		}
+	}
 	return f, nil
 }
 
@@ -226,13 +268,17 @@ func columnOrders(d *dataset.Dataset, workers int) *sortedCols {
 	return out
 }
 
-// distArenaChunk sizes the leaf-distribution arena allocations.
-const distArenaChunk = 4096
+// grownTree is one tree as a grower emits it: nodes in preorder with
+// right indices relative to the tree's root, and its leaves' class
+// distributions in node order. Train lays the trees out in the forest.
+type grownTree struct {
+	nodes []node
+	dists []float32
+}
 
 // grower carries per-worker training state. All scratch is sized once in
 // newGrower and reused for every tree the worker grows; the only per-tree
-// allocations left are the returned node slice and, occasionally, a fresh
-// leaf-distribution arena chunk (both escape into the trained forest).
+// allocations left are the returned tree's two slices.
 type grower struct {
 	d       *dataset.Dataset
 	cfg     Config
@@ -242,7 +288,8 @@ type grower struct {
 	cols    *sortedCols // shared read-only sorted dataset view
 
 	rng   *sim.RNG
-	nodes []Node // scratch; copied into the returned tree
+	nodes []node    // scratch; copied into the returned tree
+	dists []float32 // scratch; copied into the returned tree
 
 	idx  []int32 // bootstrap row per sample position
 	y    []int32 // label per sample position
@@ -261,7 +308,6 @@ type grower struct {
 	lcounts [][]int // per-depth left-child count buffers
 	counts  [][]int // per-depth class-count buffers
 	perm    []int   // feature subsample permutation
-	dist    []float32
 }
 
 func newGrower(d *dataset.Dataset, cfg Config, cols *sortedCols) *grower {
@@ -293,7 +339,7 @@ func newGrower(d *dataset.Dataset, cfg Config, cols *sortedCols) *grower {
 // SubsampleSize bootstrap draws, then one feature permutation per internal
 // node in depth-first order — matches the original implementation exactly,
 // which OOBError and the golden-tree test rely on.
-func (g *grower) grow(rng *sim.RNG) Tree {
+func (g *grower) grow(rng *sim.RNG) grownTree {
 	g.rng = rng
 	n := g.d.Len()
 	for i := range g.idx {
@@ -338,6 +384,7 @@ func (g *grower) grow(rng *sim.RNG) Tree {
 	// Root class counts stream the bootstrap labels once; every deeper
 	// node's counts are derived by its parent during split bookkeeping.
 	g.nodes = g.nodes[:0]
+	g.dists = g.dists[:0]
 	counts := g.countsAt(0)
 	for _, c := range g.y {
 		counts[c]++
@@ -348,9 +395,7 @@ func (g *grower) grow(rng *sim.RNG) Tree {
 	} else {
 		g.build(0, U, 0, counts, g.S, 0)
 	}
-	nodes := make([]Node, len(g.nodes))
-	copy(nodes, g.nodes)
-	return Tree{Nodes: nodes}
+	return grownTree{nodes: slices.Clone(g.nodes), dists: slices.Clone(g.dists)}
 }
 
 // countsAt returns the reusable class-count buffer for one recursion depth.
@@ -394,8 +439,8 @@ func (g *grower) isLeaf(counts []int, n, depth int) bool {
 }
 
 // build grows the subtree over column element segment [lo, hi) of buffer b
-// — one entry per unique bootstrap row, weighted by multiplicity — and
-// returns its node index. counts/ns describe the node's class distribution
+// — one entry per unique bootstrap row, weighted by multiplicity — in
+// preorder, and returns its node index. counts/ns describe the node's class distribution
 // in samples (derived by the parent, so nodes never re-count their
 // segments), exactly as if every bootstrap draw were carried individually.
 // build owns the counts buffer from the moment it is called and may clobber
@@ -491,43 +536,35 @@ func (g *grower) build(lo, hi, depth int, counts []int, ns, b int) int32 {
 	}
 
 	self := int32(len(g.nodes))
-	g.nodes = append(g.nodes, Node{Feature: int32(feat), Threshold: thr})
-	var left, right int32
+	g.nodes = append(g.nodes, node{key: orderedKey(thr), feat: int32(feat)})
+	// The left child is emitted next, at self+1.
 	if leftLeaf {
-		left = g.leaf(lcounts, nl)
+		g.leaf(lcounts, nl)
 	} else {
-		left = g.build(lo, lo+ml, depth+1, lcounts, nl, b)
+		g.build(lo, lo+ml, depth+1, lcounts, nl, b)
 	}
+	var right int32
 	if rightLeaf {
 		right = g.leaf(counts, ns-nl)
 	} else {
 		right = g.build(lo+ml, hi, depth+1, counts, ns-nl, b)
 	}
-	g.nodes[self].Left = left
-	g.nodes[self].Right = right
+	g.nodes[self].right = right
 	return self
 }
 
-// leaf appends a leaf node, carving its distribution out of the arena so
-// growing a tree does not allocate per leaf.
+// leaf appends a leaf node (a self-loop, see node) and its class
+// distribution, in float32: the precision the model file stores.
 func (g *grower) leaf(counts []int, n int) int32 {
-	if cap(g.dist)-len(g.dist) < g.classes {
-		size := distArenaChunk
-		if size < g.classes {
-			size = g.classes
-		}
-		g.dist = make([]float32, 0, size)
-	}
-	m := len(g.dist)
-	g.dist = g.dist[:m+g.classes]
-	dist := g.dist[m : m+g.classes : m+g.classes]
-	if n > 0 {
-		for c, v := range counts {
-			dist[c] = float32(v) / float32(n)
-		}
-	}
 	self := int32(len(g.nodes))
-	g.nodes = append(g.nodes, Node{Feature: leafMark, Dist: dist})
+	g.nodes = append(g.nodes, node{right: self})
+	for _, v := range counts {
+		p := float32(0)
+		if n > 0 {
+			p = float32(v) / float32(n)
+		}
+		g.dists = append(g.dists, p)
+	}
 	return self
 }
 

@@ -118,9 +118,9 @@ func TestMaxDepthLimitsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range stump.Trees {
-		if len(tr.Nodes) > 3 {
-			t.Fatalf("depth-1 tree has %d nodes", len(tr.Nodes))
+	for _, nodes := range fileTrees(t, stump) {
+		if len(nodes) > 3 {
+			t.Fatalf("depth-1 tree has %d nodes", len(nodes))
 		}
 	}
 	if accuracy(t, deep, ds) <= accuracy(t, stump, ds) {

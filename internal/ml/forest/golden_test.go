@@ -9,6 +9,7 @@ import (
 	"ltefp/internal/ml/dataset"
 	"ltefp/internal/ml/forest"
 	"ltefp/internal/sim"
+	"ltefp/internal/snapshot"
 )
 
 // goldenDataset is a fixed 4-class dataset with deliberate duplicate
@@ -30,10 +31,50 @@ func goldenDataset() *dataset.Dataset {
 	return ds
 }
 
+// fileNode is one node as the model file spells it (see forest.Encode).
+type fileNode struct {
+	feature     int64
+	threshold   float64
+	left, right int64
+	dist        []float32
+}
+
+// fileTrees reads a forest's trees back out of its encoding, field by
+// field, so tests see the trained trees in the file's own terms.
+func fileTrees(t testing.TB, f *forest.Forest) [][]fileNode {
+	t.Helper()
+	e := snapshot.NewEncoder(1 << 12)
+	forest.Encode(e, f)
+	d := snapshot.NewDecoder(e.Bytes())
+	d.Bool()
+	for i := d.Uvarint(); i > 0; i-- {
+		d.Str()
+	}
+	trees := make([][]fileNode, d.Uvarint())
+	for ti := range trees {
+		trees[ti] = make([]fileNode, d.Uvarint())
+		for j := range trees[ti] {
+			n := &trees[ti][j]
+			n.feature = d.Varint()
+			n.threshold = d.F64()
+			n.left = d.Varint()
+			n.right = d.Varint()
+			n.dist = make([]float32, d.Uvarint())
+			for k := range n.dist {
+				n.dist[k] = d.F32()
+			}
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return trees
+}
+
 // hashForest folds every structural and numeric detail of the trained
 // trees — node order, features, threshold bits, links, distribution bits —
 // into one FNV-1a digest.
-func hashForest(f *forest.Forest) uint64 {
+func hashForest(t testing.TB, f *forest.Forest) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put32 := func(v uint32) {
@@ -49,15 +90,15 @@ func hashForest(f *forest.Forest) uint64 {
 		}
 		h.Write(buf[:8])
 	}
-	for _, t := range f.Trees {
-		put32(uint32(len(t.Nodes)))
-		for _, n := range t.Nodes {
-			put32(uint32(n.Feature))
-			put64(math.Float64bits(n.Threshold))
-			put32(uint32(n.Left))
-			put32(uint32(n.Right))
-			put32(uint32(len(n.Dist)))
-			for _, d := range n.Dist {
+	for _, nodes := range fileTrees(t, f) {
+		put32(uint32(len(nodes)))
+		for _, n := range nodes {
+			put32(uint32(n.feature))
+			put64(math.Float64bits(n.threshold))
+			put32(uint32(n.left))
+			put32(uint32(n.right))
+			put32(uint32(len(n.dist)))
+			for _, d := range n.dist {
 				put32(math.Float32bits(d))
 			}
 		}
@@ -83,7 +124,7 @@ func TestGoldenTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hashForest(f); got != tc.want {
+		if got := hashForest(t, f); got != tc.want {
 			t.Errorf("cfg %+v: forest hash %#x, want golden %#x", tc.cfg, got, tc.want)
 		}
 	}
@@ -98,13 +139,13 @@ func TestWorkersDoNotChangeTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := hashForest(base)
+	want := hashForest(t, base)
 	for _, w := range []int{runtime.GOMAXPROCS(0), 4, 13} {
 		f, err := forest.Train(ds, forest.Config{Trees: 9, Seed: 5, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hashForest(f); got != want {
+		if got := hashForest(t, f); got != want {
 			t.Errorf("Workers=%d: forest hash %#x != Workers=1 hash %#x", w, got, want)
 		}
 	}

@@ -12,25 +12,23 @@ import (
 // cadence, direction — the model actually keys on.
 func (f *Forest) FeatureImportance(dim int) []float64 {
 	imp := make([]float64, dim)
-	for _, t := range f.Trees {
-		// Sample counts are not stored per node, so importance is
-		// approximated by counting splits per feature weighted by depth
-		// (shallower splits separate more samples).
-		var walk func(idx int32, depth int)
-		walk = func(idx int32, depth int) {
-			n := &t.Nodes[idx]
-			if n.Feature == leafMark {
-				return
-			}
-			if int(n.Feature) < dim {
-				imp[n.Feature] += 1 / float64(depth+1)
-			}
-			walk(n.Left, depth+1)
-			walk(n.Right, depth+1)
+	// Sample counts are not stored per node, so importance is approximated
+	// by counting splits per feature weighted by depth (shallower splits
+	// separate more samples).
+	var walk func(i int32, depth int)
+	walk = func(i int32, depth int) {
+		n := f.nodes[i]
+		if n.right == i {
+			return
 		}
-		if len(t.Nodes) > 0 {
-			walk(0, 0)
+		if int(n.feat) < dim {
+			imp[n.feat] += 1 / float64(depth+1)
 		}
+		walk(i+1, depth+1)
+		walk(n.right, depth+1)
+	}
+	for _, root := range f.roots {
+		walk(root, 0)
 	}
 	var total float64
 	for _, v := range imp {
@@ -81,7 +79,7 @@ func OOBError(d *dataset.Dataset, cfg Config) (float64, error) {
 		votes[i] = make([]float64, len(d.Classes))
 	}
 	inBag := make([]bool, d.Len())
-	for tIdx := range f.Trees {
+	for tIdx, root := range f.roots {
 		// Reconstruct this tree's bootstrap sample.
 		rng := treeRNG(cfg.Seed, tIdx)
 		for i := range inBag {
@@ -94,7 +92,9 @@ func OOBError(d *dataset.Dataset, cfg Config) (float64, error) {
 			if inBag[row] {
 				continue
 			}
-			f.Trees[tIdx].predict(d.X[row], votes[row])
+			for c, p := range f.leaf(f.descend(root, d.X[row])) {
+				votes[row][c] += p
+			}
 		}
 	}
 	wrong, scored := 0, 0

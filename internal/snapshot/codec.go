@@ -97,11 +97,13 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns how many bytes are left unread.
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
-// fail latches the first error.
+// fail latches the first error and ends the payload, so every later read
+// finds no bytes left, takes its slow path and returns zero.
 func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
+	d.off = len(d.b)
 }
 
 // take returns the next n bytes, or nil after latching a truncation error.
@@ -118,8 +120,17 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// Uvarint reads a varint-encoded unsigned integer.
+// Uvarint reads a varint-encoded unsigned integer. Values below 128 (most
+// counts and indices) take a one-byte fast path.
 func (d *Decoder) Uvarint() uint64 {
+	if b := d.b[d.off:]; len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return uint64(b[0])
+	}
+	return d.uvarintSlow()
+}
+
+func (d *Decoder) uvarintSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -132,8 +143,17 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a zig-zag varint-encoded signed integer.
+// Varint reads a zig-zag varint-encoded signed integer, with Uvarint's
+// one-byte fast path (values in [-64, 64)).
 func (d *Decoder) Varint() int64 {
+	if b := d.b[d.off:]; len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return int64(b[0]>>1) ^ -int64(b[0]&1)
+	}
+	return d.varintSlow()
+}
+
+func (d *Decoder) varintSlow() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -157,20 +177,22 @@ func (d *Decoder) U16() uint16 {
 
 // U32 reads a fixed-width little-endian uint32.
 func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+	if b := d.b[d.off:]; len(b) >= 4 {
+		d.off += 4
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	d.take(4) // latches the truncation
+	return 0
 }
 
 // U64 reads a fixed-width little-endian uint64.
 func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+	if b := d.b[d.off:]; len(b) >= 8 {
+		d.off += 8
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	d.take(8) // latches the truncation
+	return 0
 }
 
 // I64 reads a fixed-width little-endian int64.
