@@ -634,25 +634,9 @@ func BenchmarkStream60s(b *testing.B) {
 	}
 }
 
-// BenchmarkForestPredict measures one window classification by a 100-tree
-// forest — the attacker's per-window inference cost.
-func BenchmarkForestPredict(b *testing.B) {
-	g := sim.NewRNG(1)
-	ds := benchDataset(g)
-	f, err := forest.Train(ds, forest.Config{Trees: 100, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := ds.X[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.Predict(x)
-	}
-}
-
 // BenchmarkForestPredictBatch measures batched classification of a full
-// test matrix by a 100-tree forest — the evaluation loops' inference cost.
-// Reported per window, so it is directly comparable to BenchmarkForestPredict.
+// test matrix by a 100-tree forest — the evaluation loops' inference cost,
+// also reported per window.
 func BenchmarkForestPredictBatch(b *testing.B) {
 	g := sim.NewRNG(1)
 	ds := benchDataset(g)
@@ -666,7 +650,6 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 		f.PredictBatchInto(ds.X, out)
 	}
 	b.StopTimer()
-	// Normalise to per-window cost for comparison with BenchmarkForestPredict.
 	perWindow := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(ds.Len())
 	b.ReportMetric(perWindow, "ns/window")
 }

@@ -145,20 +145,10 @@ func Train(ts *TrainingSet, cfg Config) (*Classifier, error) {
 	return out, nil
 }
 
-// PredictVector classifies one window vector, returning the predicted app
-// name and its category.
-func (c *Classifier) PredictVector(x []float64) (appName string, cat appmodel.Category) {
-	cats := appmodel.Categories()
-	cat = cats[c.Category.Predict(x)]
-	apps := appmodel.ByCategory(cat)
-	return apps[c.PerCategory[cat].Predict(x)].Name, cat
-}
-
 // PredictBatch classifies many window vectors at once, returning one app
 // name per vector. The category forest runs batched over all rows, rows
 // are then grouped by predicted category, and each app forest runs batched
-// over its group — the same hierarchy as PredictVector with tree-major
-// cache locality, so results are identical but several times faster.
+// over its group.
 func (c *Classifier) PredictBatch(vecs [][]float64) []string {
 	out := make([]string, len(vecs))
 	var s BatchScratch

@@ -130,10 +130,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("windowing parameters lost")
 	}
 	for app, vecs := range byApp {
-		for _, v := range vecs[:10] {
-			a1, c1 := clf.PredictVector(v)
-			a2, c2 := loaded.PredictVector(v)
-			if a1 != a2 || c1 != c2 {
+		want, got := clf.PredictBatch(vecs), loaded.PredictBatch(vecs)
+		for i := range want {
+			if got[i] != want[i] {
 				t.Fatalf("%s: loaded model diverges", app)
 			}
 		}

@@ -8,29 +8,8 @@ import (
 	"ltefp/internal/par"
 )
 
-// predictStackClasses bounds the class count for which single-row
-// prediction can use a stack buffer instead of allocating.
-const predictStackClasses = 16
-
-// PredictInto accumulates the soft-voted class distribution for x into
-// out (len(out) must equal len(f.Classes)) and returns the most probable
-// class index. It allocates nothing, making it the building block for
-// high-rate window classification.
-func (f *Forest) PredictInto(x []float64, out []float64) int {
-	for i := range out {
-		out[i] = 0
-	}
-	for _, root := range f.roots {
-		for c, p := range f.leaf(f.descend(root, x)) {
-			out[c] += p
-		}
-	}
-	return normalizeArgmax(out)
-}
-
 // normalizeArgmax scales a vote accumulator into a distribution and
-// returns the argmax, with the exact float operations and first-wins
-// tie-break of the original PredictProba/Predict pair.
+// returns the argmax: the first class wins a tie.
 func normalizeArgmax(out []float64) int {
 	total := 0.0
 	for _, v := range out {
@@ -109,9 +88,8 @@ func keyFloat(k uint64) float64 {
 // PredictBatch classifies every row of X and returns the predicted class
 // indices. Within each chunk trees are walked in tree-major order so one
 // tree's nodes stay hot in cache across many rows, and when GOMAXPROCS
-// allows it chunks are spread over a bounded worker pool — several times
-// faster than calling Predict per row either way. Results are identical
-// to per-row Predict regardless of worker scheduling.
+// allows it chunks are spread over a bounded worker pool. Results do not
+// depend on worker scheduling or on how rows are batched.
 func (f *Forest) PredictBatch(X [][]float64) []int {
 	out := make([]int, len(X))
 	f.PredictBatchInto(X, out)
@@ -168,11 +146,21 @@ func (f *Forest) PredictBatchScratch(X [][]float64, out []int, s *BatchScratch) 
 		m.batchRows.Add(int64(len(X)))
 	}
 	if len(X[0]) == 0 {
-		// Degenerate featureless rows: every tree is a bare leaf and the
-		// lane kernels' probe of x[0] would be out of range.
+		// Featureless rows: every tree is a bare leaf (a split would need
+		// a feature), so every row gets the same vote, and the lane
+		// kernels' probe of x[0] would be out of range.
 		probs := s.probsFor(len(f.Classes))
-		for r, x := range X {
-			out[r] = f.PredictInto(x, probs)
+		for _, root := range f.roots {
+			if f.nodes[root].right != root {
+				panic("forest: featureless rows reach a split")
+			}
+			for c, p := range f.leaf(root) {
+				probs[c] += p
+			}
+		}
+		best := normalizeArgmax(probs)
+		for r := range X {
+			out[r] = best
 		}
 		return
 	}
@@ -281,13 +269,13 @@ func treeLanes(nodes []node, base int32, keys []uint64, kb *[laneCount]int32) [l
 	}
 }
 
-// predictChunk runs tree-major soft voting over one row chunk: rows are first mapped onto their integer feature
-// keys, then one tree's nodes stay hot in cache across all rows of the
-// chunk before the next tree starts, with rows descending in pairs (see
-// treePair). probs is a zeroed len(X)*classes accumulator and keys a
-// len(X)*dim scratch. Accumulation order (tree-major, then leaf
-// distribution order) matches per-row Predict exactly, so results are
-// bit-identical.
+// predictChunk runs tree-major soft voting over one row chunk: rows are
+// first mapped onto their integer feature keys, then one tree's nodes stay
+// hot in cache across all rows of the chunk before the next tree starts,
+// with rows descending in lanes (see treeLanes). probs is a zeroed
+// len(X)*classes accumulator and keys a len(X)*dim scratch. Every row
+// accumulates its leaves in tree order whichever lane width walks it, so
+// a row's votes do not depend on the batch it came in.
 func (f *Forest) predictChunk(X [][]float64, keys []uint64, probs []float64, out []int) {
 	classes := len(f.Classes)
 	dim := len(X[0])

@@ -28,8 +28,8 @@ func blobs(n int, seed uint64, sep float64) *dataset.Dataset {
 func accuracy(t *testing.T, f *forest.Forest, ds *dataset.Dataset) float64 {
 	t.Helper()
 	correct := 0
-	for i, x := range ds.X {
-		if f.Predict(x) == ds.Y[i] {
+	for i, p := range f.PredictBatch(ds.X) {
+		if p == ds.Y[i] {
 			correct++
 		}
 	}
@@ -59,7 +59,7 @@ func TestDeterministicInSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, x := range ds.X {
-		pa, pb := a.PredictProba(x), b.PredictProba(x)
+		pa, pb := a.ProbaOracle(x), b.ProbaOracle(x)
 		for c := range pa {
 			if pa[c] != pb[c] {
 				t.Fatalf("row %d: same seed, different probabilities", i)
@@ -71,8 +71,9 @@ func TestDeterministicInSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := true
-	for _, x := range ds.X {
-		if a.Predict(x) != c.Predict(x) {
+	pa, pc := a.PredictBatch(ds.X), c.PredictBatch(ds.X)
+	for i := range pa {
+		if pa[i] != pc[i] {
 			same = false
 			break
 		}
@@ -93,7 +94,7 @@ func TestProbaIsDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := func(a, b, c, d, e, g float64) bool {
-		p := f.PredictProba([]float64{a, b, c, d, e, g})
+		p := f.ProbaOracle([]float64{a, b, c, d, e, g})
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -150,7 +151,7 @@ func TestSingleClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Predict([]float64{3}) != 0 {
+	if f.PredictBatch([][]float64{{3}})[0] != 0 {
 		t.Fatal("pure forest mispredicts its only class")
 	}
 }

@@ -17,7 +17,7 @@ if [ -z "$n" ]; then
 fi
 out="BENCH_$n.json"
 
-micro='BenchmarkForestTrain$|BenchmarkForestPredict$|BenchmarkForestPredictBatch$|BenchmarkForestPredictBatchObs$|BenchmarkWindowExtraction$|BenchmarkDTW$|BenchmarkDTWAligner$|BenchmarkDTWCascade$'
+micro='BenchmarkForestTrain$|BenchmarkForestPredictBatch$|BenchmarkForestPredictBatchObs$|BenchmarkWindowExtraction$|BenchmarkDTW$|BenchmarkDTWAligner$|BenchmarkDTWCascade$'
 raw=$(go test -run '^$' -bench "$micro" -benchmem -benchtime 2s .
 	go test -run '^$' -bench 'BenchmarkCheckpointWrite$|BenchmarkCheckpointRestore$' -benchmem -benchtime 2s ./internal/stream
 	go test -run '^$' -bench 'BenchmarkObs' -benchmem -benchtime 1s ./internal/obs
