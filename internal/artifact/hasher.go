@@ -15,9 +15,16 @@ import (
 // hash and doubles as the key-schema version: bump it whenever the set or
 // order of hashed fields changes, so stale disk entries become unreachable
 // rather than wrongly served.
+//
+// Fixed-width values collect in a small buffer that reaches the digest in
+// one Write when it fills, before a string or byte payload, and at Key.
+// SHA-256 is a stream, so batching the writes cannot change a key; it only
+// saves the per-call cost of hashing a training matrix one float at a
+// time.
 type Hasher struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int
+	buf [512]byte
 }
 
 // NewHasher starts a key over the given namespace.
@@ -28,10 +35,19 @@ func NewHasher(namespace string) *Hasher {
 	return h
 }
 
+// flush hands the buffered words to the digest.
+func (h *Hasher) flush() {
+	_, _ = h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
 // U64 hashes a fixed-width unsigned integer.
 func (h *Hasher) U64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	_, _ = h.h.Write(h.buf[:])
+	if h.n+8 > len(h.buf) {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
+	h.n += 8
 }
 
 // I64 hashes a fixed-width signed integer.
@@ -55,18 +71,21 @@ func (h *Hasher) Duration(d time.Duration) { h.I64(int64(d)) }
 // Str hashes a length-prefixed string.
 func (h *Hasher) Str(s string) {
 	h.U64(uint64(len(s)))
+	h.flush()
 	_, _ = io.WriteString(h.h, s)
 }
 
 // Bytes hashes a length-prefixed byte slice.
 func (h *Hasher) Bytes(b []byte) {
 	h.U64(uint64(len(b)))
+	h.flush()
 	_, _ = h.h.Write(b)
 }
 
 // Key finalises the content address.
 func (h *Hasher) Key() Key {
+	h.flush()
 	var k Key
-	copy(k[:], h.h.Sum(nil))
+	h.h.Sum(k[:0])
 	return k
 }
