@@ -44,4 +44,5 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/artifact -run '^$$' -fuzz 'FuzzArtifactDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ml/forest -run '^$$' -fuzz 'FuzzForestDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/attack/fingerprint -run '^$$' -fuzz 'FuzzClassifierSections' -fuzztime $(FUZZTIME)

@@ -8,6 +8,7 @@ import (
 	"ltefp/internal/capture"
 	"ltefp/internal/features"
 	"ltefp/internal/lte/dci"
+	"ltefp/internal/ml/forest"
 	"ltefp/internal/snapshot"
 	"ltefp/internal/trace"
 )
@@ -118,12 +119,14 @@ func CollectWindows(spec CollectSpec, session int, filter DirectionFilter) ([][]
 // classifierCodec persists a trained classifier as the model file's meta
 // and model payloads written back to back, decoded by the same validating
 // decoder as FromSections, so structural validation guards cache entries
-// exactly as it guards model files.
+// exactly as it guards model files. Entries hold the v2 forest layout
+// only: version 3 marks it, so entries written in v1 are recomputed
+// rather than read through the slower compatibility path.
 type classifierCodec struct{}
 
 func (classifierCodec) Kind() artifact.Kind { return artifact.KindForest }
 
-func (classifierCodec) Version() uint32 { return 2 }
+func (classifierCodec) Version() uint32 { return 3 }
 
 func (classifierCodec) Encode(e *snapshot.Encoder, v any) error {
 	c, ok := v.(*Classifier)
@@ -140,7 +143,7 @@ func (classifierCodec) Decode(d *snapshot.Decoder) (any, error) {
 	if err := c.decodeMeta(d); err != nil {
 		return nil, err
 	}
-	if err := c.decodeModel(d); err != nil {
+	if err := c.decodeModel(d, forest.Decode); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -57,18 +57,27 @@ func Load(r io.Reader) (*Classifier, error) {
 // AppendTo writes the classifier's sections into an open snapshot
 // container.
 func (c *Classifier) AppendTo(w *snapshot.Writer) error {
-	meta := snapshot.NewEncoder(32)
-	c.encodeMeta(meta)
-	if err := w.Section(SectionMeta, meta.Bytes()); err != nil {
+	sections := c.Sections()
+	if err := w.Section(SectionMeta, sections[SectionMeta]); err != nil {
 		return err
 	}
+	return w.Section(SectionModel, sections[SectionModel])
+}
+
+// Sections returns the payloads AppendTo writes, by section name, in the
+// current layout: equal classifiers give equal bytes.
+func (c *Classifier) Sections() map[string][]byte {
+	meta := snapshot.NewEncoder(32)
+	c.encodeMeta(meta)
 	model := snapshot.NewEncoder(1 << 16)
 	c.encodeModel(model)
-	return w.Section(SectionModel, model.Bytes())
+	return map[string][]byte{SectionMeta: meta.Bytes(), SectionModel: model.Bytes()}
 }
 
 // FromSections rebuilds a classifier from a decoded container's sections,
-// for callers (the daemon) that embed the model inside a larger file.
+// for callers (the daemon) that embed the model inside a larger file. It
+// reads forests in either layout (see forest.DecodeCompat), so model
+// files and checkpoints written before the v2 layout still load.
 func FromSections(sections map[string][]byte) (*Classifier, error) {
 	metaRaw, ok := sections[SectionMeta]
 	if !ok {
@@ -87,7 +96,7 @@ func FromSections(sections map[string][]byte) (*Classifier, error) {
 		return nil, fmt.Errorf("classifier meta: %w", err)
 	}
 	d := snapshot.NewDecoder(modelRaw)
-	if err := c.decodeModel(d); err != nil {
+	if err := c.decodeModel(d, forest.DecodeCompat); err != nil {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {
@@ -132,14 +141,15 @@ func (c *Classifier) encodeModel(e *snapshot.Encoder) {
 	}
 }
 
-// decodeModel reads what encodeModel wrote and checks the hierarchy is
+// decodeModel reads what encodeModel wrote, each forest with decode
+// (forest.Decode or forest.DecodeCompat), and checks the hierarchy is
 // complete: a category forest over every category and, for each category,
 // an app forest over its apps, all splitting on window features only. A
 // classifier decodeModel accepts can classify any window vector.
-func (c *Classifier) decodeModel(d *snapshot.Decoder) error {
+func (c *Classifier) decodeModel(d *snapshot.Decoder, decode func(*snapshot.Decoder, int) (*forest.Forest, error)) error {
 	cats := appmodel.Categories()
 	var err error
-	if c.Category, err = forest.Decode(d, features.TotalDim); err != nil {
+	if c.Category, err = decode(d, features.TotalDim); err != nil {
 		return fmt.Errorf("category forest: %w", err)
 	}
 	if c.Category == nil || len(c.Category.Classes) != len(cats) {
@@ -154,7 +164,7 @@ func (c *Classifier) decodeModel(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: per-category forests not in ascending order", snapshot.ErrCorrupt)
 		}
 		prev = cat
-		f, err := forest.Decode(d, features.TotalDim)
+		f, err := decode(d, features.TotalDim)
 		if err != nil {
 			return fmt.Errorf("forest for category %d: %w", cat, err)
 		}

@@ -104,29 +104,13 @@ func decodeFinals(b []byte) (lastApp map[stream.Key]string, latest map[stream.Ke
 // classifierSections lazily encodes the classifier once; every capture's
 // every checkpoint reuses the cached payloads instead of re-encoding the
 // forests.
-func (d *Daemon) classifierSections() (map[string][]byte, error) {
+func (d *Daemon) classifierSections() map[string][]byte {
 	d.outMu.Lock() // reuse the small daemon-wide lock; encoding happens once
 	defer d.outMu.Unlock()
-	if d.modelSections != nil {
-		return d.modelSections, nil
+	if d.modelSections == nil {
+		d.modelSections = d.cfg.Classifier.Sections()
 	}
-	var buf bytes.Buffer
-	w, err := snapshot.NewWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.cfg.Classifier.AppendTo(w); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	sections, err := snapshot.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	d.modelSections = sections
-	return sections, nil
+	return d.modelSections
 }
 
 // writeCheckpoint persists one checkpoint atomically: full container to a
@@ -156,10 +140,7 @@ func (d *Daemon) writeCheckpoint(cr *captureRun, c *stream.Checkpoint) {
 // snapshot.WriteFileAtomic (unique temp + fsync + rename), so a crash or
 // a concurrent writer can never leave a torn checkpoint behind.
 func (d *Daemon) writeCheckpointFile(cr *captureRun, c *stream.Checkpoint) (int64, error) {
-	model, err := d.classifierSections()
-	if err != nil {
-		return 0, err
-	}
+	model := d.classifierSections()
 	return snapshot.WriteFileAtomic(cr.ckptPath, func(w *snapshot.Writer) error {
 		if err := w.Section(sectionDaemonMeta, d.encodeMeta(cr)); err != nil {
 			return err
@@ -228,20 +209,19 @@ func (d *Daemon) decodeCheckpoint(cr *captureRun, f *os.File) (*restoreState, er
 	if !bytes.Equal(meta, d.encodeMeta(cr)) {
 		return nil, fmt.Errorf("capture spec or pipeline parameters changed since the checkpoint was written")
 	}
-	model, err := d.classifierSections()
+	// The embedded model must decode, and be the running model. It is
+	// compared by content, re-encoded in the current layout, so a
+	// checkpoint whose model an older binary wrote in an older layout
+	// still restores.
+	embedded, err := fingerprint.FromSections(sections)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("embedded model: %w", err)
 	}
-	for name, want := range model {
-		got, ok := sections[name]
-		if !ok || !bytes.Equal(got, want) {
+	model := d.classifierSections()
+	for name, got := range embedded.Sections() {
+		if !bytes.Equal(got, model[name]) {
 			return nil, fmt.Errorf("trained model changed since the checkpoint was written (section %q)", name)
 		}
-	}
-	// The embedded model must itself decode — guards against a daemon
-	// binary whose fingerprint codec drifted from the writer's.
-	if _, err := fingerprint.FromSections(sections); err != nil {
-		return nil, fmt.Errorf("embedded model: %w", err)
 	}
 	c, err := stream.ReadCheckpoint(sections)
 	if err != nil {

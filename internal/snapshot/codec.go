@@ -77,6 +77,15 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Raw appends n zero bytes and returns them for the caller to fill: a
+// fixed-width array written in one piece rather than value by value. The
+// slice is valid until the next append.
+func (e *Encoder) Raw(n int) []byte {
+	l := len(e.buf)
+	e.buf = append(e.buf, make([]byte, n)...)
+	return e.buf[l:]
+}
+
 // Decoder consumes a section payload written by Encoder. It is
 // error-sticky: the first failure (truncation, overflow, impossible
 // length) latches into Err, every later read returns zero values, and no
@@ -241,6 +250,10 @@ func (d *Decoder) Blob() []byte {
 	}
 	return d.take(int(n))
 }
+
+// Raw reads the next n bytes, as written by Encoder.Raw, aliasing the
+// payload buffer; it returns nil after a truncation error.
+func (d *Decoder) Raw(n int) []byte { return d.take(n) }
 
 // Count reads a uvarint collection length, validating it against a
 // per-element minimum size so a corrupted count cannot drive an unbounded
