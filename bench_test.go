@@ -278,11 +278,11 @@ func BenchmarkParetoSweep(b *testing.B) {
 // warmArtifactStore points the shared artifact store at a fresh disk
 // directory, runs populate once to fill it, and restores the memory-only
 // default when the benchmark ends. Each timed iteration should call
-// capture.ResetCache first so it measures a restarted process serving
+// artifact.Default.Reset first so it measures a restarted process serving
 // entirely from the disk tier.
 func warmArtifactStore(b *testing.B, populate func() error) {
 	b.Helper()
-	capture.ResetCache()
+	artifact.Default.Reset()
 	if err := artifact.Default.SetDir(b.TempDir()); err != nil {
 		b.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func warmArtifactStore(b *testing.B, populate func() error) {
 		if err := artifact.Default.SetDir(""); err != nil {
 			b.Error(err)
 		}
-		capture.ResetCache()
+		artifact.Default.Reset()
 	})
 	if err := populate(); err != nil {
 		b.Fatal(err)
@@ -310,7 +310,7 @@ func BenchmarkTableIIIWarm(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		capture.ResetCache()
+		artifact.Default.Reset()
 		res, err := experiments.TableIII(experiments.Quick(), 1)
 		if err != nil {
 			b.Fatal(err)
@@ -331,7 +331,7 @@ func BenchmarkParetoSweepWarm(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		capture.ResetCache()
+		artifact.Default.Reset()
 		res, err := experiments.Pareto(experiments.Quick(), 1)
 		if err != nil {
 			b.Fatal(err)
@@ -825,8 +825,7 @@ func BenchmarkSweepBrute256Users(b *testing.B) {
 }
 
 // BenchmarkWindowExtraction measures trace windowing plus feature
-// extraction for one 60-second capture through the reused dataset buffer
-// (features.Extractor.FromTraceInto), the steady-state extraction path.
+// extraction (features.FromTrace) for one 60-second capture.
 func BenchmarkWindowExtraction(b *testing.B) {
 	app, err := appmodel.ByName("YouTube")
 	if err != nil {
@@ -843,11 +842,10 @@ func BenchmarkWindowExtraction(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := traces[0]
-	e := features.NewExtractor()
-	var buf [][]float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = e.FromTraceInto(buf[:0], tr, fingerprint.DefaultWindow, fingerprint.DefaultWindow)
+		features.FromTrace(tr, fingerprint.DefaultWindow, fingerprint.DefaultWindow)
 	}
 }
 

@@ -227,13 +227,6 @@ func (s *Store) SetMemoryBudget(budget int64) int64 {
 	return prev
 }
 
-// MemoryBudget reports the current memory-tier byte bound.
-func (s *Store) MemoryBudget() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budget
-}
-
 // SetDir enables (non-empty) or disables (empty) the disk tier. The
 // directory is created if missing. Concurrent processes may share a
 // directory; the snapshot container discipline keeps them from ever

@@ -21,44 +21,6 @@ import (
 // DefaultBin is the paper's default similarity window T_w.
 const DefaultBin = time.Second
 
-// RateSeries reduces a trace to per-bin frame counts over [start, end).
-func RateSeries(t trace.Trace, bin, start, end time.Duration) []float64 {
-	if bin <= 0 {
-		panic("correlation: non-positive bin")
-	}
-	n := int((end - start + bin - 1) / bin) // ceil: a partial last bin counts
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for _, r := range t {
-		if r.At < start || r.At >= end {
-			continue
-		}
-		out[int((r.At-start)/bin)]++
-	}
-	return out
-}
-
-// ByteRateSeries reduces a trace to per-bin byte volumes over [start, end).
-func ByteRateSeries(t trace.Trace, bin, start, end time.Duration) []float64 {
-	if bin <= 0 {
-		panic("correlation: non-positive bin")
-	}
-	n := int((end - start + bin - 1) / bin)
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for _, r := range t {
-		if r.At < start || r.At >= end {
-			continue
-		}
-		out[int((r.At-start)/bin)] += float64(r.Bytes)
-	}
-	return out
-}
-
 // Evidence is the per-pair feature vector the contact classifier consumes,
 // plus the ground-truth label used in training and evaluation.
 type Evidence struct {
@@ -124,9 +86,9 @@ type side struct {
 }
 
 // buildSide reduces a trace to its comparison series in a single pass.
-// The per-bin accumulation visits records in trace order, exactly like the
-// old RateSeries/ByteRateSeries-over-FilterDirection stack, so every float
-// lands with the identical value bit for bit.
+// The per-bin accumulation visits records in trace order, so every bin
+// holds the same float, bit for bit, as a separate per-series reduction
+// over the direction-filtered trace would.
 func buildSide(t trace.Trace, bin, start, end time.Duration) side {
 	if bin <= 0 {
 		panic("correlation: non-positive bin")

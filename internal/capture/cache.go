@@ -44,58 +44,6 @@ import (
 // per entry (slice lengths × element footprints, see captureCodec.Size)
 // and least-recently-used captures are evicted past the budget.
 
-// CacheStats is a snapshot of the capture cache's effectiveness counters.
-type CacheStats struct {
-	// Hits counts RunCached calls served from the in-memory tier
-	// (including calls that waited for an in-flight simulation of the same
-	// scenario).
-	Hits int64
-	// DiskHits counts RunCached calls served by decoding a validated
-	// persistent-tier entry.
-	DiskHits int64
-	// Misses counts RunCached calls that simulated and populated an entry.
-	Misses int64
-	// Bypasses counts RunCached calls that skipped the cache (unhashable
-	// scenario, or cache disabled).
-	Bypasses int64
-	// Evictions counts entries dropped by the memory tier's byte budget.
-	Evictions int64
-	// Entries and BytesUsed describe the memory tier of the whole shared
-	// artifact store (all kinds, not just captures).
-	Entries   int
-	BytesUsed int64
-}
-
-// SetCacheBytes re-bounds the shared artifact store's in-memory tier to n
-// bytes and returns the previous bound. n <= 0 disables in-memory
-// memoization entirely (RunCached degrades to Run unless a disk tier is
-// enabled) and drops the current contents. The budget is shared with the
-// other cached artifact kinds (feature matrices, datasets, forests).
-func SetCacheBytes(n int64) int64 {
-	return artifact.Default.SetMemoryBudget(n)
-}
-
-// ResetCache drops every in-memory artifact-store entry and zeroes the
-// statistics. Persistent-tier entries are kept; they re-validate on read.
-func ResetCache() {
-	artifact.Default.Reset()
-}
-
-// ReadCacheStats reports the capture kind's effectiveness counters.
-func ReadCacheStats() CacheStats {
-	st := artifact.Default.ReadStats()
-	ks := st.PerKind[artifact.KindCapture]
-	return CacheStats{
-		Hits:      ks.MemHits,
-		DiskHits:  ks.DiskHits,
-		Misses:    ks.Misses,
-		Bypasses:  ks.Bypasses,
-		Evictions: ks.Evictions,
-		Entries:   st.Entries,
-		BytesUsed: st.BytesUsed,
-	}
-}
-
 // RunCached executes the scenario through the artifact store: the first
 // request for a scenario simulates it via Run, concurrent requests for the
 // same scenario wait for that one simulation, and later requests return

@@ -35,8 +35,15 @@ func testScenario() Scenario {
 
 func resetCacheT(t *testing.T) {
 	t.Helper()
-	ResetCache()
-	t.Cleanup(ResetCache)
+	artifact.Default.Reset()
+	t.Cleanup(artifact.Default.Reset)
+}
+
+// cacheStats reads the shared store's counters: the capture kind's, and
+// the store-wide snapshot whose Entries and BytesUsed cover every kind.
+func cacheStats() (artifact.KindStats, artifact.Stats) {
+	all := artifact.Default.ReadStats()
+	return all.PerKind[artifact.KindCapture], all
 }
 
 func TestRunCachedHitReturnsSameCapture(t *testing.T) {
@@ -53,8 +60,8 @@ func TestRunCachedHitReturnsSameCapture(t *testing.T) {
 	if first != second {
 		t.Fatal("second RunCached of an identical scenario returned a different *Capture")
 	}
-	st := ReadCacheStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Bypasses != 0 {
+	st, _ := cacheStats()
+	if st.MemHits != 1 || st.Misses != 1 || st.Bypasses != 0 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 0 bypasses", st)
 	}
 }
@@ -180,8 +187,8 @@ func TestRunCachedMetricsCountComputedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ReadCacheStats()
-	if st.Misses != 1 || st.Hits != 0 || st.Bypasses != 0 || st.Entries != 1 {
+	st, all := cacheStats()
+	if st.Misses != 1 || st.MemHits != 0 || st.Bypasses != 0 || all.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 0 hits, 0 bypasses, 1 entry", st)
 	}
 	// The instrumentation must have actually measured the simulation.
@@ -199,8 +206,8 @@ func TestRunCachedMetricsCountComputedWork(t *testing.T) {
 	if first != second {
 		t.Fatal("metrics-enabled repeat returned a different *Capture")
 	}
-	st = ReadCacheStats()
-	if st.Misses != 1 || st.Hits != 1 || st.Bypasses != 0 {
+	st, _ = cacheStats()
+	if st.Misses != 1 || st.MemHits != 1 || st.Bypasses != 0 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 0 bypasses", st)
 	}
 	snap = reg.Snapshot()
@@ -214,8 +221,8 @@ func TestRunCachedMetricsCountComputedWork(t *testing.T) {
 
 func TestRunCachedDisabled(t *testing.T) {
 	resetCacheT(t)
-	prev := SetCacheBytes(0)
-	defer SetCacheBytes(prev)
+	prev := artifact.Default.SetMemoryBudget(0)
+	defer artifact.Default.SetMemoryBudget(prev)
 	sc := testScenario()
 	a, err := RunCached(sc)
 	if err != nil {
@@ -228,8 +235,8 @@ func TestRunCachedDisabled(t *testing.T) {
 	if a == b {
 		t.Fatal("disabled cache still shared a capture")
 	}
-	st := ReadCacheStats()
-	if st.Bypasses != 2 || st.Entries != 0 {
+	st, all := cacheStats()
+	if st.Bypasses != 2 || all.Entries != 0 {
 		t.Fatalf("stats = %+v, want 2 bypasses and no entries", st)
 	}
 }
@@ -246,13 +253,13 @@ func TestRunCachedEviction(t *testing.T) {
 	if _, err := RunCached(scs[0]); err != nil {
 		t.Fatal(err)
 	}
-	one := ReadCacheStats().BytesUsed
+	one := artifact.Default.ReadStats().BytesUsed
 	if one <= 0 {
 		t.Fatalf("cached capture accounted %d bytes, want > 0", one)
 	}
-	ResetCache()
-	prev := SetCacheBytes(one*2 + one/2)
-	defer SetCacheBytes(prev)
+	artifact.Default.Reset()
+	prev := artifact.Default.SetMemoryBudget(one*2 + one/2)
+	defer artifact.Default.SetMemoryBudget(prev)
 
 	first, err := RunCached(scs[0])
 	if err != nil {
@@ -263,12 +270,12 @@ func TestRunCachedEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := ReadCacheStats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 entries after 1 eviction", st)
+	st, all := cacheStats()
+	if all.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, %d entries, want 2 entries after 1 eviction", st, all.Entries)
 	}
-	if st.BytesUsed > one*2+one/2 {
-		t.Fatalf("bytes used %d exceeds the %d budget", st.BytesUsed, one*2+one/2)
+	if all.BytesUsed > one*2+one/2 {
+		t.Fatalf("bytes used %d exceeds the %d budget", all.BytesUsed, one*2+one/2)
 	}
 	// scs[0] was the least recently used entry; re-running it must miss.
 	again, err := RunCached(scs[0])
@@ -307,8 +314,8 @@ func TestRunCachedConcurrent(t *testing.T) {
 			t.Fatal("concurrent RunCached calls returned different captures")
 		}
 	}
-	st := ReadCacheStats()
-	if st.Misses != 1 || st.Hits != goroutines-1 {
+	st, _ := cacheStats()
+	if st.Misses != 1 || st.MemHits != goroutines-1 {
 		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, goroutines-1)
 	}
 }

@@ -114,17 +114,17 @@ func TestRunCachedDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ReadCacheStats(); st.Misses != 1 {
+	if st, _ := cacheStats(); st.Misses != 1 {
 		t.Fatalf("cold stats = %+v", st)
 	}
 
 	// Simulate a restart: drop the memory tier, keep the disk.
-	ResetCache()
+	artifact.Default.Reset()
 	warm, err := RunCached(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ReadCacheStats()
+	st, _ := cacheStats()
 	if st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("warm stats = %+v, want a pure disk hit", st)
 	}
@@ -153,12 +153,12 @@ func TestRunCachedDiskTier(t *testing.T) {
 	if err := os.WriteFile(entry, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ResetCache()
+	artifact.Default.Reset()
 	re, err := RunCached(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = ReadCacheStats()
+	st, _ = cacheStats()
 	if st.Misses != 1 || st.DiskHits != 0 {
 		t.Fatalf("post-corruption stats = %+v, want a recompute", st)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"ltefp/internal/capture"
+	"ltefp/internal/artifact"
 	"ltefp/internal/obs"
 )
 
@@ -33,7 +33,7 @@ func tinyScale() Scale {
 // byte-identical to serial execution: every cell derives its own seed, so
 // the worker schedule must not be able to influence any metric.
 func TestTableIIISerialParallelIdentical(t *testing.T) {
-	capture.ResetCache()
+	artifact.Default.Reset()
 	restore := SetWorkers(1)
 	serial, err := TableIII(tinyScale(), 3)
 	restore()
@@ -43,7 +43,7 @@ func TestTableIIISerialParallelIdentical(t *testing.T) {
 	// Drop the memoized captures so the parallel run actually re-simulates;
 	// otherwise it would just re-read the serial run's cached captures and
 	// the comparison would prove nothing about the worker schedule.
-	capture.ResetCache()
+	artifact.Default.Reset()
 	restore = SetWorkers(8)
 	parallel, err := TableIII(tinyScale(), 3)
 	restore()
@@ -93,8 +93,8 @@ func TestMetricsDoNotChangeOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capture.ResetCache()
-	t.Cleanup(capture.ResetCache)
+	artifact.Default.Reset()
+	t.Cleanup(artifact.Default.Reset)
 	defer SetMetrics(nil)
 
 	reg := obs.NewRegistry()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ltefp/internal/artifact"
-	"ltefp/internal/capture"
 )
 
 // readGolden loads a committed golden rendering. Set UPDATE_GOLDEN=1 to
@@ -38,7 +37,7 @@ func TestWarmRunByteIdenticalToCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold quick-scale runs take several seconds; skipped with -short")
 	}
-	capture.ResetCache()
+	artifact.Default.Reset()
 	dir := t.TempDir()
 	if err := artifact.Default.SetDir(dir); err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func TestWarmRunByteIdenticalToCold(t *testing.T) {
 		if err := artifact.Default.SetDir(""); err != nil {
 			t.Error(err)
 		}
-		capture.ResetCache()
+		artifact.Default.Reset()
 	}()
 
 	coldT3, err := TableIII(Quick(), 1)
@@ -67,7 +66,7 @@ func TestWarmRunByteIdenticalToCold(t *testing.T) {
 
 	// Simulate a restarted process: the memory tier is gone, the disk
 	// tier survives. The warm run must not compute anything.
-	capture.ResetCache()
+	artifact.Default.Reset()
 	warmT3, err := TableIII(Quick(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,7 @@ func TestWarmRunByteIdenticalToCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	capture.ResetCache()
+	artifact.Default.Reset()
 	reT3, err := TableIII(Quick(), 1)
 	if err != nil {
 		t.Fatal(err)

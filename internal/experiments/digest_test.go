@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"testing"
 
-	"ltefp/internal/capture"
+	"ltefp/internal/artifact"
 )
 
 // TestRunnerDigestsAcrossWorkers pins the tiny-scale rendering of every
@@ -36,10 +36,10 @@ func TestRunnerDigestsAcrossWorkers(t *testing.T) {
 		}, "9a4326e2cb62bb3001825f177a7110c2fedb308eccecd37d2abb7c20eeb83bdb"},
 		{"Retraining", func(s Scale, seed uint64) (fmt.Stringer, error) { return Retraining(s, seed) }, "f774d4055946b19aee1784e838b0175f54b25d9b6307453ba371ddcdd37a11de"},
 	}
-	t.Cleanup(capture.ResetCache)
+	t.Cleanup(artifact.Default.Reset)
 	for _, r := range runners {
 		for _, workers := range []int{1, 8} {
-			capture.ResetCache()
+			artifact.Default.Reset()
 			restore := SetWorkers(workers)
 			res, err := r.run(tinyScale(), 3)
 			restore()

@@ -3,10 +3,12 @@ package features_test
 import (
 	"math"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"ltefp/internal/features"
 	"ltefp/internal/lte/dci"
+	"ltefp/internal/sim"
 	"ltefp/internal/trace"
 )
 
@@ -16,67 +18,8 @@ func TestNamesMatchDims(t *testing.T) {
 	if len(features.Names()) != features.TotalDim {
 		t.Fatalf("Names() has %d entries, TotalDim = %d", len(features.Names()), features.TotalDim)
 	}
-	if len(features.BaseNames()) != features.Dim {
-		t.Fatalf("BaseNames() has %d entries, Dim = %d", len(features.BaseNames()), features.Dim)
-	}
 	if features.TotalDim != features.Dim+features.ContextDim {
 		t.Fatal("dimension constants inconsistent")
-	}
-}
-
-func TestEmptyWindowIsZero(t *testing.T) {
-	v := features.FromWindow(trace.Window{Start: 0}, 100*ms)
-	if len(v) != features.Dim {
-		t.Fatalf("vector length %d", len(v))
-	}
-	for i, x := range v {
-		if x != 0 {
-			t.Fatalf("feature %d of empty window = %v", i, x)
-		}
-	}
-}
-
-func TestHandComputedWindow(t *testing.T) {
-	w := trace.Window{
-		Start: 0,
-		Records: trace.Trace{
-			{At: 10 * ms, Dir: dci.Downlink, Bytes: 100},
-			{At: 30 * ms, Dir: dci.Uplink, Bytes: 300},
-			{At: 70 * ms, Dir: dci.Downlink, Bytes: 200},
-		},
-	}
-	v := features.FromWindow(w, 100*ms)
-	check := func(name string, idx int, want float64) {
-		t.Helper()
-		if math.Abs(v[idx]-want) > 1e-9 {
-			t.Errorf("%s = %v, want %v", name, v[idx], want)
-		}
-	}
-	check("frame_count", 0, 3)
-	check("dl_count", 1, 2)
-	check("ul_count", 2, 1)
-	check("total_bytes", 3, 600)
-	check("dl_bytes", 4, 300)
-	check("ul_bytes", 5, 300)
-	check("size_mean", 6, 200)
-	check("size_min", 8, 100)
-	check("size_max", 9, 300)
-	check("iat_mean", 10, 30) // gaps 20 ms and 40 ms
-	check("iat_max", 12, 40)
-	check("cumulative_time", 13, 60)
-	check("dl_byte_ratio", 14, 0.5)
-	check("active_fraction", 16, 0.03) // 3 of 100 one-ms bins
-	check("size_p50", 17, 200)
-}
-
-func TestSingleRecordWindow(t *testing.T) {
-	w := trace.Window{Start: 0, Records: trace.Trace{{At: 5 * ms, Dir: dci.Downlink, Bytes: 64}}}
-	v := features.FromWindow(w, 100*ms)
-	if v[10] != 100 { // iat_mean falls back to the window width in ms
-		t.Fatalf("iat_mean for lone record = %v, want 100", v[10])
-	}
-	if v[6] != 64 || v[17] != 64 {
-		t.Fatal("size stats for lone record wrong")
 	}
 }
 
@@ -128,18 +71,6 @@ func TestFromTraceEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestFromWindowsMatrix(t *testing.T) {
-	tr := trace.Trace{
-		{At: 10 * ms, Dir: dci.Downlink, Bytes: 100},
-		{At: 200 * ms, Dir: dci.Downlink, Bytes: 100},
-	}
-	ws := tr.Windows(100*ms, 100*ms)
-	m := features.FromWindows(ws, 100*ms)
-	if len(m) != len(ws) {
-		t.Fatalf("matrix rows %d, windows %d", len(m), len(ws))
-	}
-}
-
 // synthTrace builds a deterministic busy trace spanning roughly n*spacing.
 func synthTrace(n int, spacing time.Duration) trace.Trace {
 	tr := make(trace.Trace, n)
@@ -153,46 +84,130 @@ func synthTrace(n int, spacing time.Duration) trace.Trace {
 	return tr
 }
 
-func TestFromTraceIntoMatchesFromTrace(t *testing.T) {
+// TestFromTraceRowsAreDistinct pins the one-backing-array layout: every
+// row has exactly TotalDim values and capacity, so appending to one row
+// reallocates it instead of overwriting the next, and repeated calls
+// return equal, unshared rows.
+func TestFromTraceRowsAreDistinct(t *testing.T) {
 	tr := synthTrace(5000, 7*ms)
-	want := features.FromTrace(tr, 100*ms, 100*ms)
-
-	e := features.NewExtractor()
-	var buf [][]float64
-	// Two cycles: the second reuses the first's rows, and must still be
-	// identical to the fresh extraction.
-	for cycle := 0; cycle < 2; cycle++ {
-		buf = e.FromTraceInto(buf[:0], tr, 100*ms, 100*ms)
-		if len(buf) != len(want) {
-			t.Fatalf("cycle %d: %d rows, want %d", cycle, len(buf), len(want))
+	one := features.FromTrace(tr, 100*ms, 100*ms)
+	two := features.FromTrace(tr, 100*ms, 100*ms)
+	if len(one) == 0 || len(one) != len(two) {
+		t.Fatalf("%d and %d rows", len(one), len(two))
+	}
+	for i := range one {
+		if len(one[i]) != features.TotalDim || cap(one[i]) != features.TotalDim {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(one[i]), cap(one[i]), features.TotalDim)
 		}
-		for i := range buf {
-			for j := range buf[i] {
-				if buf[i][j] != want[i][j] {
-					t.Fatalf("cycle %d: row %d feature %d = %v, want %v",
-						cycle, i, j, buf[i][j], want[i][j])
-				}
+		for k := range one[i] {
+			if one[i][k] != two[i][k] {
+				t.Fatalf("row %d feature %d: %v then %v", i, k, one[i][k], two[i][k])
 			}
+		}
+	}
+	next := one[1][0]
+	_ = append(one[0], -1)
+	if one[1][0] != next {
+		t.Fatal("appending to a row overwrote the next one")
+	}
+	one[0][0] = -1
+	if two[0][0] == -1 {
+		t.Fatal("two FromTrace calls share rows")
+	}
+}
+
+// TestFromTraceAllocsIndependentOfRows guards the single backing array: a
+// trace ten times longer, at the same density, must not cost more
+// allocations (per-row slices would add one per window).
+func TestFromTraceAllocsIndependentOfRows(t *testing.T) {
+	short, long := synthTrace(1000, 7*ms), synthTrace(10000, 7*ms)
+	if n := len(features.FromTrace(long, 100*ms, 100*ms)); n < 10*len(features.FromTrace(short, 100*ms, 100*ms))-10 {
+		t.Fatalf("long trace yields only %d rows", n)
+	}
+	allocs := func(tr trace.Trace) float64 {
+		return testing.AllocsPerRun(10, func() { features.FromTrace(tr, 100*ms, 100*ms) })
+	}
+	a, b := allocs(short), allocs(long)
+	if b > a {
+		t.Fatalf("FromTrace allocates %v objects for %d records but %v for %d", b, len(long), a, len(short))
+	}
+}
+
+// TestFromTracePanicsOnBadGeometry pins the geometry contract of both
+// entry points: a non-positive width or stride is a programming error.
+func TestFromTracePanicsOnBadGeometry(t *testing.T) {
+	for _, g := range []struct{ width, stride time.Duration }{
+		{0, 100 * ms}, {100 * ms, 0}, {-ms, 100 * ms}, {0, 0},
+	} {
+		for name, f := range map[string]func(){
+			"FromTrace":      func() { features.FromTrace(synthTrace(3, ms), g.width, g.stride) },
+			"NewIncremental": func() { features.NewIncremental(g.width, g.stride) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v, %v) did not panic", name, g.width, g.stride)
+					}
+				}()
+				f()
+			}()
 		}
 	}
 }
 
-// TestFromTraceIntoAllocationFree is the regression guard for the reused
-// dataset buffer: once warmed, re-extracting a same-sized trace must not
-// allocate at all (window scratch, row slices, and size/occupancy scratch
-// are all recycled).
-func TestFromTraceIntoAllocationFree(t *testing.T) {
-	tr := synthTrace(5000, 7*ms)
-	e := features.NewExtractor()
-	var buf [][]float64
-	buf = e.FromTraceInto(buf[:0], tr, 100*ms, 100*ms) // warm the scratch
-	if len(buf) == 0 {
-		t.Fatal("synthetic trace produced no windows")
+// TestFromTraceCountsEveryRecordOnce: with stride == width the windows
+// tile the span, so the frame counts of the emitted rows add up to the
+// trace's length.
+func TestFromTraceCountsEveryRecordOnce(t *testing.T) {
+	f := func(seed uint64) bool {
+		tr := jitterTrace(seed, 300)
+		total := 0.0
+		for _, row := range features.FromTrace(tr, 100*ms, 100*ms) {
+			total += row[0]
+		}
+		return total == float64(len(tr))
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		buf = e.FromTraceInto(buf[:0], tr, 100*ms, 100*ms)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state FromTraceInto allocates %v objects/run, want 0", allocs)
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// TestFromTraceOverlappingWindows: with overlapping windows each row
+// counts exactly the records of its half-open span.
+func TestFromTraceOverlappingWindows(t *testing.T) {
+	tr := jitterTrace(7, 200)
+	const width, stride = 200 * ms, 100 * ms
+	rows := features.FromTrace(tr, width, stride)
+	i := 0
+	inc := features.NewIncremental(width, stride)
+	emit := func(start time.Duration, row []float64) {
+		want := tr.FilterSpan(start, start+width)
+		if row[0] != float64(len(want)) || row[0] != rows[i][0] {
+			t.Fatalf("window at %v counts %v records, span holds %d, FromTrace row %v", start, row[0], len(want), rows[i][0])
+		}
+		i++
+	}
+	for _, r := range tr {
+		inc.Push(r, emit)
+	}
+	inc.Flush(emit)
+	if i != len(rows) {
+		t.Fatalf("streamed %d windows, FromTrace %d", i, len(rows))
+	}
+}
+
+// jitterTrace is a time-ordered trace with gaps of up to 50 ms.
+func jitterTrace(seed uint64, n int) trace.Trace {
+	g := sim.NewRNG(seed)
+	tr := make(trace.Trace, n)
+	at := time.Duration(0)
+	for i := range tr {
+		at += time.Duration(g.IntN(50)) * ms
+		dir := dci.Downlink
+		if g.Bool(0.3) {
+			dir = dci.Uplink
+		}
+		tr[i] = trace.Record{At: at, Dir: dir, Bytes: 1 + g.IntN(4000)}
+	}
+	return tr
 }

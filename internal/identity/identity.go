@@ -132,15 +132,6 @@ func (m *Mapper) Intervals() []Interval {
 	return out
 }
 
-// IntervalsFor returns the bindings of one TMSI.
-func (m *Mapper) IntervalsFor(tmsi uint32) []Interval {
-	var out []Interval
-	for _, idx := range m.byTMSI[tmsi] {
-		out = append(out, m.intervals[idx])
-	}
-	return out
-}
-
 // UserTrace extracts, from a capture, every record attributable to a user
 // known by any of the given TMSIs (a user holds several TMSIs over time as
 // the core reallocates them). The result is time-ordered and sized

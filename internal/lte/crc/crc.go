@@ -61,9 +61,3 @@ func Attach(payload []byte, rnti uint16) uint16 {
 func RecoverRNTI(payload []byte, maskedParity uint16) uint16 {
 	return Checksum(payload) ^ maskedParity
 }
-
-// Verify reports whether the masked parity bits are consistent with the
-// payload under the given RNTI.
-func Verify(payload []byte, maskedParity, rnti uint16) bool {
-	return Attach(payload, rnti) == maskedParity
-}

@@ -164,19 +164,14 @@ func validAgg(l int) bool {
 
 // CCEMap tracks CCE occupancy while the eNodeB assembles a subframe's
 // PDCCH, preventing overlapping placements exactly as a real scheduler
-// must. The zero value is unusable; use NewCCEMap.
+// must. The zero value covers no elements; Reset sizes it.
 type CCEMap struct {
 	used []bool
 }
 
-// NewCCEMap returns an occupancy map over ncce control channel elements.
-func NewCCEMap(ncce int) *CCEMap {
-	return &CCEMap{used: make([]bool, ncce)}
-}
-
 // Reset clears the map and resizes it to ncce elements, reusing the
-// backing storage. It makes a zero-value CCEMap usable and lets a
-// scheduler keep one map per cell instead of allocating one per TTI.
+// backing storage, so a scheduler keeps one map per cell instead of
+// allocating one per TTI.
 func (m *CCEMap) Reset(ncce int) {
 	if cap(m.used) < ncce {
 		m.used = make([]bool, ncce)

@@ -33,7 +33,6 @@ type Series struct {
 	raw          []float64
 	norm         []float64
 	upper, lower []float64
-	band         int
 }
 
 // NewSeries precomputes the normalisation and envelopes of raw. The
@@ -42,12 +41,8 @@ type Series struct {
 // a comparison to have equal lengths (as every sweep over a common
 // [start, end) span produces) and falls back to LBKim otherwise.
 func NewSeries(raw []float64) *Series {
-	s := &Series{
-		raw:  raw,
-		norm: Normalize(raw),
-		band: bandFor(len(raw), len(raw)),
-	}
-	s.upper, s.lower = envelope(s.norm, s.band)
+	s := &Series{raw: raw, norm: Normalize(raw)}
+	s.upper, s.lower = envelope(s.norm, bandFor(len(raw), len(raw)))
 	return s
 }
 
@@ -59,9 +54,6 @@ func (s *Series) Raw() []float64 { return s.raw }
 
 // Norm returns the z-normalised values.
 func (s *Series) Norm() []float64 { return s.norm }
-
-// Band returns the Sakoe-Chiba half-width the envelopes were built under.
-func (s *Series) Band() int { return s.band }
 
 // bandFor is the 10% Sakoe-Chiba half-width Similarity uses for a pair of
 // series of lengths n and m.

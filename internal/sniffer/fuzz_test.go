@@ -31,8 +31,8 @@ func FuzzBlindDecode(f *testing.F) {
 		if got := crc.RecoverRNTI(payload, masked); got != rnti {
 			t.Fatalf("unmask recovered %#04x, want %#04x", got, rnti)
 		}
-		if !crc.Verify(payload, masked, rnti) {
-			t.Fatal("Verify rejects an intact payload")
+		if crc.Attach(payload, rnti) != masked {
+			t.Fatal("CRC check rejects an intact payload")
 		}
 		// A blind decoder sees every candidate; neither the parser nor a
 		// live sniffer may panic on one. The CorruptProb=1 sniffer forces
@@ -57,7 +57,7 @@ func FuzzBlindDecode(f *testing.F) {
 		if b != a {
 			corrupt[b/8] ^= 1 << (b % 8)
 		}
-		if crc.Verify(corrupt, masked, rnti) {
+		if crc.Attach(corrupt, rnti) == masked {
 			t.Fatalf("corrupted payload % x passes CRC for RNTI %#04x", corrupt, rnti)
 		}
 		if crc.RecoverRNTI(corrupt, masked) == rnti {

@@ -309,6 +309,44 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsImpossibleExtractorState applies the never-trust
+// rule to a user's extractor state: a hand-built checkpoint that encodes
+// and decodes cleanly, but holds records no extractor could have kept,
+// must fail the restore instead of yielding wrong rows.
+func TestRestoreRejectsImpossibleExtractorState(t *testing.T) {
+	clf := classifier(t)
+	const ms = time.Millisecond
+	rec := func(at time.Duration) trace.Record {
+		return trace.Record{At: at, CellID: 1, RNTI: 100, Dir: dci.Downlink, Bytes: 10}
+	}
+	restore := func(mutate func(*features.IncrementalState)) error {
+		st := features.IncrementalState{
+			Width: clf.Window, Stride: clf.Stride,
+			Started: true, Next: 1000 * ms, LastAt: 1200 * ms,
+			HasEvicted: true, EvictedAt: 900 * ms,
+			Buf: []trace.Record{rec(1100 * ms), rec(1200 * ms)},
+		}
+		mutate(&st)
+		c := &stream.Checkpoint{Users: []stream.UserState{{Key: stream.Key{CellID: 1, RNTI: 100}, Inc: st}}}
+		cfg := stream.Config{Classifier: clf, Restore: decodeCheckpoint(t, encodeCheckpoint(t, c))}
+		_, err := stream.Run(context.Background(), &stream.ReplaySource{}, cfg)
+		return err
+	}
+	if err := restore(func(*features.IncrementalState) {}); err != nil {
+		t.Fatalf("consistent state rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*features.IncrementalState){
+		"out of time order": func(st *features.IncrementalState) { st.Buf[0], st.Buf[1] = st.Buf[1], st.Buf[0] },
+		"after LastAt":      func(st *features.IncrementalState) { st.LastAt = 1150 * ms },
+		"never started":     func(st *features.IncrementalState) { st.Started = false },
+		"before evicted":    func(st *features.IncrementalState) { st.EvictedAt = 1150 * ms },
+	} {
+		if err := restore(mutate); err == nil || !strings.Contains(err.Error(), "restoring incremental") {
+			t.Errorf("%s: err = %v, want a rejected extractor state", name, err)
+		}
+	}
+}
+
 // TestRecoverPanics pins stage resilience: a panicking callback in any
 // stage aborts the pipeline cleanly — Run returns the panic as an error
 // naming the stage, in-flight work is drained, and nothing deadlocks.

@@ -167,14 +167,16 @@ func runStream(t *testing.T, src stream.Source, c *fingerprint.Classifier, mutat
 }
 
 // offlineExpect runs the batch path over one user's sub-trace: offline
-// window extraction plus batched forest prediction.
+// window extraction plus batched forest prediction. The window starts are
+// the ones the extractor emits when the whole sub-trace is pushed at once.
 func offlineExpect(c *fingerprint.Classifier, sub trace.Trace) (starts []time.Duration, rows [][]float64, apps []string) {
 	rows = features.FromTrace(sub, c.Window, c.Stride)
-	for _, w := range sub.Windows(c.Window, c.Stride) {
-		if len(w.Records) > 0 {
-			starts = append(starts, w.Start)
-		}
+	inc := features.NewIncremental(c.Window, c.Stride)
+	emit := func(start time.Duration, _ []float64) { starts = append(starts, start) }
+	for _, r := range sub {
+		inc.Push(r, emit)
 	}
+	inc.Flush(emit)
 	apps = c.PredictBatch(rows)
 	return starts, rows, apps
 }

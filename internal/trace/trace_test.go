@@ -141,66 +141,6 @@ func TestSplitSessions(t *testing.T) {
 	}
 }
 
-// TestWindowsPartition: with stride == width every record lands in exactly
-// one window, and windows tile the span.
-func TestWindowsPartition(t *testing.T) {
-	f := func(seed uint64) bool {
-		tr := mkTrace(300, seed)
-		ws := tr.Windows(100*time.Millisecond, 100*time.Millisecond)
-		count := 0
-		for i, w := range ws {
-			if i > 0 && w.Start != ws[i-1].Start+100*time.Millisecond {
-				return false
-			}
-			for _, r := range w.Records {
-				if r.At < w.Start || r.At >= w.Start+100*time.Millisecond {
-					return false
-				}
-				count++
-			}
-		}
-		return count == len(tr)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWindowsOverlapping(t *testing.T) {
-	tr := mkTrace(200, 7)
-	ws := tr.Windows(200*time.Millisecond, 100*time.Millisecond)
-	// Overlapping windows must each contain exactly the records in their
-	// span.
-	for _, w := range ws {
-		want := tr.FilterSpan(w.Start, w.Start+200*time.Millisecond)
-		if len(want) != len(w.Records) {
-			t.Fatalf("window at %v has %d records, span-filter says %d",
-				w.Start, len(w.Records), len(want))
-		}
-	}
-}
-
-func TestWindowsPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Windows(0, 0) did not panic")
-		}
-	}()
-	mkTrace(3, 1).Windows(0, 0)
-}
-
-func TestNonEmptyWindows(t *testing.T) {
-	tr := trace.Trace{{At: 0, Bytes: 1}, {At: time.Second, Bytes: 1}}
-	ws := tr.Windows(100*time.Millisecond, 100*time.Millisecond)
-	ne := trace.NonEmptyWindows(ws)
-	if len(ne) != 2 {
-		t.Fatalf("%d non-empty windows, want 2", len(ne))
-	}
-	if len(ws) <= len(ne) {
-		t.Fatal("expected empty windows between the two records")
-	}
-}
-
 // TestCSVRoundTrip: WriteCSV then ReadCSV is the identity.
 func TestCSVRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
