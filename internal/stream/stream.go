@@ -7,11 +7,11 @@
 //
 // The pipeline has four stages connected by bounded queues:
 //
-//	source    — steps a record source (live simulation, replay, or a
-//	            fault injector wrapping either) one time slice at a time
+//	source    — steps a record source (live simulation or replay) one
+//	            time slice at a time
 //	assemble  — routes records to a per-(cell,RNTI) incremental window
-//	            extractor (features.Incremental, bit-identical to the
-//	            offline extractor) and batches the emitted rows
+//	            extractor (features.Incremental, the one offline
+//	            extraction also runs) and batches the emitted rows
 //	classify  — runs the fingerprint classifier's batched forest
 //	            inference over each row batch
 //	verdict   — folds predictions into per-RNTI rolling majority votes,
