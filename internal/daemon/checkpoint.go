@@ -44,9 +44,6 @@ func (d *Daemon) encodeMeta(cr *captureRun) []byte {
 	e.Varint(int64(s.BackgroundApps))
 	e.Duration(d.cfg.Slice)
 	e.Duration(d.cfg.CheckpointEvery)
-	e.Varint(int64(d.cfg.VoteHorizon))
-	e.Varint(int64(d.cfg.MinVerdictWindows))
-	e.F64(d.cfg.DriftThreshold)
 	return e.Bytes()
 }
 

@@ -106,12 +106,6 @@ type Config struct {
 	// 100 ms). CheckpointEvery should be a multiple of it.
 	Slice time.Duration
 
-	// VoteHorizon, MinVerdictWindows and DriftThreshold configure the
-	// verdict stage (stream.Config defaults apply).
-	VoteHorizon       int
-	MinVerdictWindows int
-	DriftThreshold    float64
-
 	// Out receives verdict lines (one per app-change, plus finals); nil
 	// discards them. Lines are prefixed with the capture name, so
 	// interleaved captures stay separable.
@@ -126,11 +120,6 @@ type Config struct {
 	RestartBackoff Backoff
 	// Sleep replaces the restart wait (tests inject instant sleeps).
 	Sleep func(ctx context.Context, d time.Duration) error
-
-	// TailSpan is how much trailing simulated time of raw records each
-	// capture retains for the /sweep endpoint (default 30 s; 0 keeps the
-	// default, negative disables the tail).
-	TailSpan time.Duration
 
 	// Metrics, when non-nil, receives per-capture pipeline and sniffer
 	// metrics, and is served by the debug HTTP endpoint.
@@ -151,11 +140,12 @@ func (c Config) withDefaults() Config {
 	if c.RestartBackoff.Base == 0 {
 		c.RestartBackoff = NewBackoff(sim.NewRNG(1))
 	}
-	if c.TailSpan == 0 {
-		c.TailSpan = 30 * time.Second
-	}
 	return c
 }
+
+// tailSpan is how much trailing simulated time of raw records each capture
+// retains for the /sweep endpoint.
+const tailSpan = 30 * time.Second
 
 // Backoff computes jittered exponential restart delays: attempt n
 // (0-based) waits Base·Factor^n, capped at Max, with the final delay drawn
@@ -418,24 +408,17 @@ func (d *Daemon) runOnce(ctx context.Context, cr *captureRun) error {
 	}
 
 	cfg := stream.Config{
-		Classifier:        d.cfg.Classifier,
-		VoteHorizon:       d.cfg.VoteHorizon,
-		MinVerdictWindows: d.cfg.MinVerdictWindows,
-		DriftThreshold:    d.cfg.DriftThreshold,
-		RecoverPanics:     true,
-		Restore:           restore,
-		OnVerdict:         func(v stream.Verdict) { d.onVerdict(cr, v) },
-		Metrics:           d.cfg.Metrics.Scope("daemon." + cr.spec.Name + ".stream"),
+		Classifier:    d.cfg.Classifier,
+		RecoverPanics: true,
+		Restore:       restore,
+		OnVerdict:     func(v stream.Verdict) { d.onVerdict(cr, v) },
+		Metrics:       d.cfg.Metrics.Scope("daemon." + cr.spec.Name + ".stream"),
 	}
 	if cr.ckptPath != "" {
 		cfg.CheckpointEvery = d.cfg.CheckpointEvery
 		cfg.OnCheckpoint = func(c *stream.Checkpoint) { d.writeCheckpoint(cr, c) }
 	}
-	if d.cfg.TailSpan > 0 {
-		src = &teeSource{Src: src, sink: func(recs trace.Trace, now time.Duration) {
-			cr.extendTail(recs, now, d.cfg.TailSpan)
-		}}
-	}
+	src = &teeSource{Src: src, sink: cr.extendTail}
 
 	cr.setState(StateRunning)
 	st, err := stream.Run(ctx, src, cfg)
@@ -522,8 +505,8 @@ func (cr *captureRun) pruneVerdictsAfter(c *stream.Checkpoint) {
 }
 
 // extendTail appends freshly captured records to the per-user tails and
-// evicts everything older than span behind now.
-func (cr *captureRun) extendTail(recs trace.Trace, now time.Duration, span time.Duration) {
+// evicts everything older than tailSpan behind now.
+func (cr *captureRun) extendTail(recs trace.Trace, now time.Duration) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	cr.now = now
@@ -531,7 +514,7 @@ func (cr *captureRun) extendTail(recs trace.Trace, now time.Duration, span time.
 		k := stream.Key{CellID: r.CellID, RNTI: r.RNTI}
 		cr.tail[k] = append(cr.tail[k], r)
 	}
-	cutoff := now - span
+	cutoff := now - tailSpan
 	if cutoff <= 0 {
 		return
 	}

@@ -316,10 +316,10 @@ func TestDaemonRejectsIncompatibleCheckpoint(t *testing.T) {
 	}
 
 	// And a valid checkpoint for bob, written under different pipeline
-	// parameters (vote horizon).
+	// parameters (checkpoint period).
 	var tmp bytes.Buffer
 	pre := baseConfig(t, dir, &tmp)
-	pre.VoteHorizon = 10
+	pre.CheckpointEvery = 3 * time.Second
 	d0, err := daemon.New(pre)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestDaemonRejectsIncompatibleCheckpoint(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	d, err := daemon.New(baseConfig(t, dir, &out)) // default horizon != 10
+	d, err := daemon.New(baseConfig(t, dir, &out)) // 2 s period != 3 s
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,6 @@ func TestDaemonRejectsIncompatibleCheckpoint(t *testing.T) {
 func TestDaemonHTTPEndpoints(t *testing.T) {
 	var out bytes.Buffer
 	cfg := baseConfig(t, t.TempDir(), &out)
-	cfg.TailSpan = time.Hour // retain everything so /sweep has material
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	d, err := daemon.New(cfg)

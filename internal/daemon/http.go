@@ -164,7 +164,7 @@ func (d *Daemon) sweep(minSim float64, topK int) (*SweepResult, error) {
 	if len(users) < 2 || end <= 0 {
 		return &SweepResult{Users: len(users)}, nil
 	}
-	start := end - d.cfg.TailSpan
+	start := end - tailSpan
 	if start < 0 {
 		start = 0
 	}

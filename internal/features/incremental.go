@@ -108,12 +108,18 @@ func (inc *Incremental) State() IncrementalState {
 // RestoreIncremental rebuilds an extractor from captured state. The
 // record slice is copied, so the state remains reusable. A state no
 // extractor can reach is rejected rather than left to yield wrong rows:
-// a bad geometry, records out of time order, records after LastAt or
-// before the last evicted one, or records in an extractor that never
-// started.
+// a bad geometry, a last push past the open window, records out of time
+// order, records after LastAt or before the last evicted one, or records
+// in an extractor that never started.
 func RestoreIncremental(st IncrementalState) (*Incremental, error) {
 	if st.Width <= 0 || st.Stride <= 0 {
 		return nil, fmt.Errorf("features: restoring incremental: invalid window width %v / stride %v", st.Width, st.Stride)
+	}
+	// Push and AdvanceTo close every window that ends at or before the
+	// last push, so it always falls before the open window's end. The
+	// difference is taken unsigned: it is exact whenever LastAt >= Next.
+	if st.Started && st.LastAt >= st.Next && uint64(st.LastAt-st.Next) >= uint64(st.Width) {
+		return nil, fmt.Errorf("features: restoring incremental: last push at %v is past the open window [%v, +%v)", st.LastAt, st.Next, st.Width)
 	}
 	if n := len(st.Buf); n > 0 {
 		if !st.Started {
@@ -143,9 +149,6 @@ func RestoreIncremental(st IncrementalState) (*Incremental, error) {
 	inc.OutOfOrder = st.OutOfOrder
 	return inc, nil
 }
-
-// Buffered reports how many records the context horizon currently retains.
-func (inc *Incremental) Buffered() int { return len(inc.buf) - inc.head }
 
 // Push feeds one record, emitting every window the record proves complete
 // (all windows ending at or before r.At). emit receives the window start

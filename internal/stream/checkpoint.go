@@ -371,18 +371,34 @@ func (p *pipeline) captureVotes(c *Checkpoint) {
 	c.Stats.RetrainSignals = p.st.RetrainSignals
 }
 
+// maxCheckpointTime bounds a restored checkpoint's simulated time (about
+// 146 years), leaving the window arithmetic after it room not to overflow.
+const maxCheckpointTime = time.Duration(1 << 62)
+
 // restore primes a fresh pipeline with checkpointed state before its
-// stages start. It validates the checkpoint against the pipeline's
-// configuration — window geometry and vote horizon must match, because
-// restored state under different parameters would be silently wrong.
+// stages start. It validates the checkpoint against the pipeline: window
+// geometry must match the classifier's and the vote horizon the
+// configuration's, because restored state under different parameters
+// would be silently wrong.
 func (p *pipeline) restore(c *Checkpoint) error {
+	if c.Now < 0 || c.Now > maxCheckpointTime {
+		return fmt.Errorf("stream: checkpoint time %v out of range", c.Now)
+	}
 	apps := len(p.table.names)
 	p.st = c.Stats
 	for i := range c.Users {
 		u := &c.Users[i]
-		if u.Inc.Width != p.cfg.Window || u.Inc.Stride != p.cfg.Stride {
-			return fmt.Errorf("stream: checkpoint window %v/%v does not match config %v/%v",
-				u.Inc.Width, u.Inc.Stride, p.cfg.Window, p.cfg.Stride)
+		if u.Inc.Width != p.window || u.Inc.Stride != p.stride {
+			return fmt.Errorf("stream: checkpoint window %v/%v does not match the classifier's %v/%v",
+				u.Inc.Width, u.Inc.Stride, p.window, p.stride)
+		}
+		// Simulated time starts at zero, every record assembled before the
+		// barrier is at or before Now, and no window opens more than a
+		// stride past the newest source time. Outside those bounds the
+		// first AdvanceTo or Flush would walk an unbounded run of windows.
+		if u.Inc.Started && (u.Inc.Next < 0 || u.Inc.LastAt > c.Now || u.Inc.Next-c.Now >= p.stride) {
+			return fmt.Errorf("stream: checkpoint user %v: window at %v, last record at %v, not reachable by %v",
+				u.Key, u.Inc.Next, u.Inc.LastAt, c.Now)
 		}
 		inc, err := features.RestoreIncremental(u.Inc)
 		if err != nil {
@@ -405,9 +421,8 @@ func (p *pipeline) restore(c *Checkpoint) error {
 		}
 		u := p.slab.get()
 		u.drift = driftMonitor{
-			threshold:  p.cfg.DriftThreshold,
-			minWindows: p.cfg.DriftMinWindows,
-			latched:    v.DriftLatched,
+			threshold: p.cfg.DriftThreshold,
+			latched:   v.DriftLatched,
 		}
 		copy(u.ring.slots, v.Slots)
 		u.ring.pos = v.Pos

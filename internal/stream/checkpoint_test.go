@@ -20,7 +20,7 @@ import (
 
 // encodeCheckpoint round-trips a checkpoint through the full snapshot
 // container — bytes on the wire, not just structs in memory.
-func encodeCheckpoint(t *testing.T, c *stream.Checkpoint) []byte {
+func encodeCheckpoint(t testing.TB, c *stream.Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := snapshot.NewWriter(&buf)
@@ -267,7 +267,8 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 }
 
 // TestRestoreValidation pins that a checkpoint can only restore into a
-// pipeline with matching parameters.
+// pipeline with matching parameters: its vote horizon must match the
+// configuration's, its window geometry the classifier's.
 func TestRestoreValidation(t *testing.T) {
 	clf := classifier(t)
 	res, err := capture.Run(twoUserScenario(t, 31))
@@ -299,10 +300,16 @@ func TestRestoreValidation(t *testing.T) {
 		t.Errorf("mismatched vote horizon: err = %v", err)
 	}
 
+	if len(ck.Users) == 0 {
+		t.Fatal("checkpoint tracks no users")
+	}
+	// A user whose extractor was cut at another width than the
+	// classifier's must not restore.
+	wide := *ck
+	wide.Users = append([]stream.UserState(nil), ck.Users...)
+	wide.Users[0].Inc.Width *= 2
 	bad = cfg
-	bad.Restore = ck
-	bad.Window = time.Second // checkpoint was cut at the classifier's window
-	bad.Stride = time.Second
+	bad.Restore = &wide
 	if _, err := stream.Run(context.Background(), &stream.ReplaySource{Trace: res.Records}, bad); err == nil ||
 		!strings.Contains(err.Error(), "window") {
 		t.Errorf("mismatched window: err = %v", err)
@@ -311,8 +318,9 @@ func TestRestoreValidation(t *testing.T) {
 
 // TestRestoreRejectsImpossibleExtractorState applies the never-trust
 // rule to a user's extractor state: a hand-built checkpoint that encodes
-// and decodes cleanly, but holds records no extractor could have kept,
-// must fail the restore instead of yielding wrong rows.
+// and decodes cleanly, but holds records no extractor could have kept or
+// a state no extractor could hold at the checkpoint's time, must fail the
+// restore instead of yielding wrong rows or walking unbounded windows.
 func TestRestoreRejectsImpossibleExtractorState(t *testing.T) {
 	clf := classifier(t)
 	const ms = time.Millisecond
@@ -322,12 +330,15 @@ func TestRestoreRejectsImpossibleExtractorState(t *testing.T) {
 	restore := func(mutate func(*features.IncrementalState)) error {
 		st := features.IncrementalState{
 			Width: clf.Window, Stride: clf.Stride,
-			Started: true, Next: 1000 * ms, LastAt: 1200 * ms,
+			Started: true, Next: 1200 * ms, LastAt: 1200 * ms,
 			HasEvicted: true, EvictedAt: 900 * ms,
 			Buf: []trace.Record{rec(1100 * ms), rec(1200 * ms)},
 		}
 		mutate(&st)
-		c := &stream.Checkpoint{Users: []stream.UserState{{Key: stream.Key{CellID: 1, RNTI: 100}, Inc: st}}}
+		c := &stream.Checkpoint{
+			Now:   1300 * ms,
+			Users: []stream.UserState{{Key: stream.Key{CellID: 1, RNTI: 100}, Inc: st}},
+		}
 		cfg := stream.Config{Classifier: clf, Restore: decodeCheckpoint(t, encodeCheckpoint(t, c))}
 		_, err := stream.Run(context.Background(), &stream.ReplaySource{}, cfg)
 		return err
@@ -336,13 +347,29 @@ func TestRestoreRejectsImpossibleExtractorState(t *testing.T) {
 		t.Fatalf("consistent state rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*features.IncrementalState){
-		"out of time order": func(st *features.IncrementalState) { st.Buf[0], st.Buf[1] = st.Buf[1], st.Buf[0] },
-		"after LastAt":      func(st *features.IncrementalState) { st.LastAt = 1150 * ms },
-		"never started":     func(st *features.IncrementalState) { st.Started = false },
-		"before evicted":    func(st *features.IncrementalState) { st.EvictedAt = 1150 * ms },
+		"out of time order":    func(st *features.IncrementalState) { st.Buf[0], st.Buf[1] = st.Buf[1], st.Buf[0] },
+		"after LastAt":         func(st *features.IncrementalState) { st.LastAt = 1150 * ms },
+		"never started":        func(st *features.IncrementalState) { st.Started = false },
+		"before evicted":       func(st *features.IncrementalState) { st.EvictedAt = 1150 * ms },
+		"past the open window": func(st *features.IncrementalState) { st.Next = 1000 * ms },
 	} {
 		if err := restore(mutate); err == nil || !strings.Contains(err.Error(), "restoring incremental") {
 			t.Errorf("%s: err = %v, want a rejected extractor state", name, err)
+		}
+	}
+	// States an extractor could hold, but not at the checkpoint's time.
+	for name, mutate := range map[string]func(*features.IncrementalState){
+		"window before zero": func(st *features.IncrementalState) { st.Next = -100 * ms },
+		"window past the cut": func(st *features.IncrementalState) {
+			st.Next = 1300*ms + clf.Stride
+		},
+		"record after the cut": func(st *features.IncrementalState) {
+			st.Next, st.LastAt = 1300*ms, 1350*ms
+			st.Buf = append(st.Buf, rec(1350*ms))
+		},
+	} {
+		if err := restore(mutate); err == nil || !strings.Contains(err.Error(), "not reachable") {
+			t.Errorf("%s: err = %v, want a state unreachable at the checkpoint time", name, err)
 		}
 	}
 }

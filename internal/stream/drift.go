@@ -108,19 +108,18 @@ func (v *voteRing) majority() (app int, confidence float64) {
 }
 
 // driftMonitor latches the paper's retrain condition per user: rolling
-// confidence below the threshold over at least minWindows windows. It
-// fires once per excursion — re-arming only after confidence recovers —
-// so a struggling user does not flood the retrain queue.
+// confidence below the threshold over at least driftMinWindows windows.
+// It fires once per excursion — re-arming only after confidence recovers
+// — so a struggling user does not flood the retrain queue.
 type driftMonitor struct {
-	threshold  float64
-	minWindows int
-	latched    bool
+	threshold float64
+	latched   bool
 }
 
 // observe feeds one confidence reading; it returns true when the retrain
 // signal should fire now.
 func (d *driftMonitor) observe(confidence float64, windows int) bool {
-	if windows < d.minWindows {
+	if windows < driftMinWindows {
 		return false
 	}
 	if confidence >= d.threshold {

@@ -54,20 +54,21 @@ func TestVoteRingTieBreak(t *testing.T) {
 // fires once per excursion, only with enough history, and re-arms after
 // recovery.
 func TestDriftMonitorLatch(t *testing.T) {
-	d := driftMonitor{threshold: 0.70, minWindows: 5}
-	if d.observe(0.10, 3) {
-		t.Fatal("fired below minWindows")
+	const n = driftMinWindows
+	d := driftMonitor{threshold: 0.70}
+	if d.observe(0.10, n-1) {
+		t.Fatal("fired below driftMinWindows")
 	}
-	if !d.observe(0.60, 5) {
+	if !d.observe(0.60, n) {
 		t.Fatal("did not fire on first below-threshold reading")
 	}
-	if d.observe(0.50, 6) || d.observe(0.40, 7) {
+	if d.observe(0.50, n+1) || d.observe(0.40, n+2) {
 		t.Fatal("re-fired while latched")
 	}
-	if d.observe(0.90, 8) {
+	if d.observe(0.90, n+3) {
 		t.Fatal("fired on recovery")
 	}
-	if !d.observe(0.69, 9) {
+	if !d.observe(0.69, n+4) {
 		t.Fatal("did not re-fire after recovery and a new excursion")
 	}
 }

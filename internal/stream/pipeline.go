@@ -30,7 +30,7 @@ type recBatch struct {
 // keys/starts/rows, the classifier writes apps, and the verdict stage —
 // the last reader — returns the whole bundle to the freelist. rows point
 // into the bundle's own flat arena, whose capacity is fixed at
-// MaxBatch×TotalDim up front so appends can never move rows already
+// maxBatch×TotalDim up front so appends can never move rows already
 // recorded; that fixed ownership is what lets the bundle be reused instead
 // of abandoned to the GC after every batch.
 type rowBatch struct {
@@ -68,6 +68,8 @@ func newStageMetrics(sc obs.Scope, items, shed string) stageMetrics {
 type pipeline struct {
 	cfg   Config
 	table *appTable
+	// window and stride are the classifier's extraction geometry.
+	window, stride time.Duration
 
 	mSource   stageMetrics
 	mAssemble stageMetrics
@@ -157,9 +159,10 @@ func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 		panicC:    sc.Scope("pipeline").Counter("stage_panics"),
 		users:     make(map[Key]*features.Incremental),
 		votes:     make(map[Key]*userVote),
-		recFree:   make(chan trace.Trace, cfg.QueueDepth+2),
-		rowFree:   make(chan *rowBatch, 2*cfg.QueueDepth+4),
+		recFree:   make(chan trace.Trace, queueDepth+2),
+		rowFree:   make(chan *rowBatch, 2*queueDepth+4),
 	}
+	p.window, p.stride = geometry(cfg.Classifier)
 	p.slab = ringSlab{horizon: cfg.VoteHorizon, apps: len(p.table.names)}
 	if cfg.CheckpointEvery > 0 {
 		p.nextCkpt = cfg.CheckpointEvery
@@ -180,9 +183,9 @@ func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	recCh := make(chan recBatch, cfg.QueueDepth)
-	rowCh := make(chan *rowBatch, cfg.QueueDepth)
-	predCh := make(chan *rowBatch, cfg.QueueDepth)
+	recCh := make(chan recBatch, queueDepth)
+	rowCh := make(chan *rowBatch, queueDepth)
+	predCh := make(chan *rowBatch, queueDepth)
 
 	// guard wraps one stage goroutine: with RecoverPanics, a panic is
 	// recorded, the source is cancelled, and the stage's abandoned input
@@ -265,7 +268,7 @@ func (p *pipeline) putBatch(b *rowBatch) {
 }
 
 // getBatch pops a recycled bundle, or builds one with its full capacity —
-// MaxBatch rows and a MaxBatch×TotalDim arena — so it never grows later.
+// maxBatch rows and a maxBatch×TotalDim arena — so it never grows later.
 func (p *pipeline) getBatch() *rowBatch {
 	select {
 	case b := <-p.rowFree:
@@ -279,11 +282,11 @@ func (p *pipeline) getBatch() *rowBatch {
 	default:
 	}
 	return &rowBatch{
-		keys:   make([]Key, 0, p.cfg.MaxBatch),
-		starts: make([]time.Duration, 0, p.cfg.MaxBatch),
-		rows:   make([][]float64, 0, p.cfg.MaxBatch),
-		flat:   make([]float64, 0, p.cfg.MaxBatch*features.TotalDim),
-		apps:   make([]string, 0, p.cfg.MaxBatch),
+		keys:   make([]Key, 0, maxBatch),
+		starts: make([]time.Duration, 0, maxBatch),
+		rows:   make([][]float64, 0, maxBatch),
+		flat:   make([]float64, 0, maxBatch*features.TotalDim),
+		apps:   make([]string, 0, maxBatch),
 	}
 }
 
@@ -387,7 +390,7 @@ func (p *pipeline) assembleStage(in <-chan recBatch, out chan<- *rowBatch) {
 			k := Key{CellID: r.CellID, RNTI: r.RNTI}
 			inc, ok := p.users[k]
 			if !ok {
-				inc = features.NewIncremental(p.cfg.Window, p.cfg.Stride)
+				inc = features.NewIncremental(p.window, p.stride)
 				p.users[k] = inc
 				i := sort.Search(len(p.order), func(i int) bool { return keyLess(k, p.order[i]) })
 				p.order = append(p.order, Key{})
@@ -425,7 +428,7 @@ func keyLess(a, b Key) bool {
 // emitRow returns the assembler's emit callback (built once per stage —
 // it is called per row); curKey names the user the row belongs to. The
 // extractor's row is scratch, so it is copied into the bundle's arena;
-// the arena's capacity covers MaxBatch rows, so the append can never grow
+// the arena's capacity covers maxBatch rows, so the append can never grow
 // it in place and move rows already recorded.
 func (p *pipeline) emitRow(out chan<- *rowBatch) func(start time.Duration, row []float64) {
 	return func(start time.Duration, row []float64) {
@@ -438,7 +441,7 @@ func (p *pipeline) emitRow(out chan<- *rowBatch) func(start time.Duration, row [
 		b.keys = append(b.keys, p.curKey)
 		b.starts = append(b.starts, start)
 		b.rows = append(b.rows, b.flat[n:len(b.flat):len(b.flat)])
-		if len(b.rows) >= p.cfg.MaxBatch {
+		if len(b.rows) >= maxBatch {
 			p.flushRows(out)
 		}
 	}
@@ -544,10 +547,7 @@ func (p *pipeline) verdictStage(in <-chan *rowBatch) {
 			u, ok := votes[k]
 			if !ok {
 				u = p.slab.get()
-				u.drift = driftMonitor{
-					threshold:  p.cfg.DriftThreshold,
-					minWindows: p.cfg.DriftMinWindows,
-				}
+				u.drift = driftMonitor{threshold: p.cfg.DriftThreshold}
 				votes[k] = u
 			}
 			u.ring.push(p.table.index[b.apps[i]])

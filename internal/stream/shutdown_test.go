@@ -44,7 +44,6 @@ func TestStreamCancelDrainsCleanly(t *testing.T) {
 	var rows int
 	cfg := stream.Config{
 		Classifier: c,
-		QueueDepth: 2,
 		TapWindow: func(stream.Key, time.Duration, []float64) {
 			rows++
 			if rows == 10 {
@@ -91,8 +90,8 @@ func TestStreamCompletionLeavesNoGoroutines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestStreamShedsUnderBackpressure forces overload — a one-slot queue and
-// an artificially slow assembler — and checks the shed contract: records
+// TestStreamShedsUnderBackpressure forces overload — an artificially slow
+// assembler behind the fixed-depth queues — and checks the shed contract: records
 // are dropped instead of blocking the source, every drop is counted in
 // Stats, and the obs counter agrees. Nothing vanishes silently.
 func TestStreamShedsUnderBackpressure(t *testing.T) {
@@ -104,7 +103,6 @@ func TestStreamShedsUnderBackpressure(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := stream.Config{
 		Classifier: c,
-		QueueDepth: 1,
 		Shed:       true,
 		Metrics:    reg.Scope("stream"),
 		// Slow the assemble stage so the source's queue stays full.

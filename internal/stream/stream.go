@@ -7,7 +7,7 @@
 //
 // The pipeline has four stages connected by bounded queues:
 //
-//	source    — steps a record source (live simulation or replay) one
+//	source    — steps a record source (the live simulation) one
 //	            time slice at a time
 //	assemble  — routes records to a per-(cell,RNTI) incremental window
 //	            extractor (features.Incremental, the one offline
@@ -67,21 +67,27 @@ type RetrainSignal struct {
 	Windows    int
 }
 
+// Queue, batch and drift constants of the pipeline. Every caller runs the
+// paper's live attacker with these values, so they are not configurable.
+const (
+	// queueDepth bounds each inter-stage channel, in batches.
+	queueDepth = 64
+	// maxBatch caps the rows handed to one classify call.
+	maxBatch = 64
+	// driftMinWindows is how many windows the vote must hold before the
+	// drift monitor may fire.
+	driftMinWindows = 30
+)
+
 // Config assembles a pipeline.
 type Config struct {
-	// Classifier is the trained hierarchy (required). Window/Stride default
-	// to the classifier's training geometry.
+	// Classifier is the trained hierarchy (required). Windows are cut at
+	// its training geometry (fingerprint.DefaultWindow if it has none).
 	Classifier *fingerprint.Classifier
-	Window     time.Duration
-	Stride     time.Duration
 
-	// QueueDepth bounds each inter-stage channel (default 64 batches).
-	QueueDepth int
 	// Shed selects drop-and-count over block-the-producer when a queue is
 	// full. Shed events surface in Stats and the stage obs counters.
 	Shed bool
-	// MaxBatch caps the rows handed to one classify call (default 64).
-	MaxBatch int
 
 	// VoteHorizon is the rolling vote length in windows (default 50 — five
 	// seconds of 100 ms windows).
@@ -91,9 +97,6 @@ type Config struct {
 	MinVerdictWindows int
 	// DriftThreshold is the confidence gate (default 0.70, the paper's).
 	DriftThreshold float64
-	// DriftMinWindows is how many windows the vote must hold before the
-	// drift monitor may fire (default 30).
-	DriftMinWindows int
 
 	// OnVerdict, when set, receives every rolling verdict, from the
 	// verdict stage's goroutine.
@@ -122,8 +125,8 @@ type Config struct {
 	// and cumulative stats. The source must resume at Restore.Now (for a
 	// deterministic simulated source, fast-forwarded to that time); the
 	// pipeline then produces verdicts byte-identical to an uninterrupted
-	// run. Restore fails if the checkpoint's window geometry or vote
-	// horizon disagree with this configuration.
+	// run. Restore fails if the checkpoint's window geometry disagrees
+	// with the classifier's or its vote horizon with this configuration.
 	Restore *Checkpoint
 	// RecoverPanics turns a panicking stage into a clean pipeline
 	// shutdown: in-flight work is drained, Run returns the panic as an
@@ -139,24 +142,6 @@ type Config struct {
 
 // withDefaults fills the documented defaults.
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = c.Classifier.Window
-	}
-	if c.Window <= 0 {
-		c.Window = fingerprint.DefaultWindow
-	}
-	if c.Stride <= 0 {
-		c.Stride = c.Classifier.Stride
-	}
-	if c.Stride <= 0 {
-		c.Stride = c.Window
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.VoteHorizon <= 0 {
 		c.VoteHorizon = 50
 	}
@@ -166,10 +151,20 @@ func (c Config) withDefaults() Config {
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.70
 	}
-	if c.DriftMinWindows <= 0 {
-		c.DriftMinWindows = 30
-	}
 	return c
+}
+
+// geometry returns the window width and stride the pipeline cuts at: the
+// classifier's training geometry, with the stride defaulting to the width.
+func geometry(clf *fingerprint.Classifier) (window, stride time.Duration) {
+	window, stride = clf.Window, clf.Stride
+	if window <= 0 {
+		window = fingerprint.DefaultWindow
+	}
+	if stride <= 0 {
+		stride = window
+	}
+	return window, stride
 }
 
 // Stats summarises one pipeline run. Every shed is also an obs counter;
