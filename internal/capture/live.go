@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"fmt"
 	"time"
 
 	"ltefp/internal/sniffer"
@@ -88,17 +87,4 @@ func (l *Live) Health() sniffer.Stats {
 		addHealth(&h, s.Stats())
 	}
 	return h
-}
-
-// Remaining returns how much simulated time is left.
-func (l *Live) Remaining() time.Duration {
-	if l.now >= l.p.end {
-		return 0
-	}
-	return l.p.end - l.now
-}
-
-// String summarises the stepper state for debug logs.
-func (l *Live) String() string {
-	return fmt.Sprintf("capture.Live{now: %v, end: %v, closed: %v}", l.now, l.p.end, l.closed)
 }

@@ -10,6 +10,9 @@ import (
 	"ltefp/internal/trace"
 )
 
+// Buffered reports how many records the context horizon currently retains.
+func (inc *Incremental) Buffered() int { return len(inc.buf) - inc.head }
+
 // randomTrace builds a time-ordered trace with bursty arrivals and
 // occasional long silences, the shapes the live pipeline sees.
 func randomTrace(rng *sim.RNG, n int) trace.Trace {

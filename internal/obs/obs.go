@@ -119,12 +119,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// ObserveDuration records a duration in milliseconds, the unit every
-// latency histogram in this repository uses.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(float64(d) / float64(time.Millisecond))
-}
-
 // Count returns the number of observations (0 for nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -176,7 +170,7 @@ func (t Timer) Stop() time.Duration {
 		return 0
 	}
 	d := time.Since(t.start)
-	t.h.ObserveDuration(d)
+	t.h.Observe(float64(d) / float64(time.Millisecond))
 	return d
 }
 

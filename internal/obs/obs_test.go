@@ -24,7 +24,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	h.ObserveDuration(time.Second)
 	h.Reset()
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram has observations")
