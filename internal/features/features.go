@@ -9,6 +9,7 @@ package features
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"ltefp/internal/lte/dci"
@@ -267,12 +268,7 @@ func median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	// Insertion sort: window sizes are small.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
+	slices.Sort(v)
 	m := len(v) / 2
 	if len(v)%2 == 1 {
 		return v[m]

@@ -61,3 +61,34 @@ func TestSingleRecordWindow(t *testing.T) {
 		t.Fatal("size stats for lone record wrong")
 	}
 }
+
+// TestMedian pins the median both the extractor and the oracle use: odd
+// and even lengths, duplicates, and unsorted input, which it sorts in
+// place.
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"one", []float64{7}, 7},
+		{"odd", []float64{1, 2, 3}, 2},
+		{"even", []float64{1, 2, 3, 4}, 2.5},
+		{"duplicates", []float64{5, 5, 1, 5}, 5},
+		{"all equal", []float64{3, 3, 3, 3, 3}, 3},
+		{"unsorted odd", []float64{900, 40, 1500, 40, 7}, 40},
+		{"unsorted even", []float64{120, 8, 64, 2000, 16, 1}, 40},
+	} {
+		v := append([]float64(nil), tc.in...)
+		if got := median(v); got != tc.want {
+			t.Errorf("%s: median(%v) = %v, want %v", tc.name, tc.in, got, tc.want)
+		}
+		for i := 1; i < len(v); i++ {
+			if v[i] < v[i-1] {
+				t.Errorf("%s: argument left unsorted: %v", tc.name, v)
+				break
+			}
+		}
+	}
+}
