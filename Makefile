@@ -47,3 +47,4 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ml/forest -run '^$$' -fuzz 'FuzzForestDecode' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/attack/fingerprint -run '^$$' -fuzz 'FuzzClassifierSections' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream -run '^$$' -fuzz 'FuzzCheckpointRestore' -fuzztime $(FUZZTIME)

@@ -21,7 +21,7 @@ import (
 	"ltefp/internal/trace"
 )
 
-func testApp(t *testing.T, name string) appmodel.App {
+func testApp(t testing.TB, name string) appmodel.App {
 	t.Helper()
 	a, err := appmodel.ByName(name)
 	if err != nil {
@@ -38,7 +38,7 @@ var (
 	clfErr  error
 )
 
-func classifier(t *testing.T) *fingerprint.Classifier {
+func classifier(t testing.TB) *fingerprint.Classifier {
 	t.Helper()
 	clfOnce.Do(func() {
 		ts := fingerprint.NewTrainingSet()
@@ -78,7 +78,7 @@ func classifier(t *testing.T) *fingerprint.Classifier {
 // twoUserScenario is the recorded capture the equivalence tests stream:
 // two users running different apps in one lab cell, with mild corruption
 // so the plausibility filter's held-back path is exercised.
-func twoUserScenario(t *testing.T, seed uint64) capture.Scenario {
+func twoUserScenario(t testing.TB, seed uint64) capture.Scenario {
 	t.Helper()
 	return capture.Scenario{
 		Seed:  seed,
