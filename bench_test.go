@@ -216,8 +216,8 @@ func BenchmarkConcealment(b *testing.B) {
 // re-computation, RNTI unmasking, and DCI parsing.
 func BenchmarkBlindDecode(b *testing.B) {
 	msg := dci.Message{Format: dci.Format1A, RBStart: 10, NPRB: 25, MCS: 17}
-	payload, err := msg.Pack()
-	if err != nil {
+	payload := make([]byte, dci.PayloadLen)
+	if err := msg.PackInto(payload); err != nil {
 		b.Fatal(err)
 	}
 	masked := crc.Attach(payload, 0x4321)

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ltefp/internal/harness"
 )
 
 // trainedModel trains one small fingerprinter through the real ltetrain
@@ -31,8 +29,8 @@ func trainedModel(t *testing.T) string {
 		t.Skip("short mode: skipping scenarios that need a training run")
 	}
 	modelOnce.Do(func() {
-		path := filepath.Join(harness.SharedDir(t), "model.bin")
-		res := harness.Run(t, 5*time.Minute, "ltetrain",
+		path := filepath.Join(sharedDir(t), "model.bin")
+		res := run(t, 5*time.Minute, "ltetrain",
 			"-network", "Lab", "-sessions", "2", "-duration", "20s",
 			"-seed", "1", "-out", path)
 		if res.ExitCode != 0 {
@@ -61,7 +59,7 @@ func trainedModel(t *testing.T) string {
 // network, app, duration, and seed must reproduce the trace byte for
 // byte across PRs.
 func TestLtesniffCaptureCSV(t *testing.T) {
-	res := harness.Run(t, time.Minute, "ltesniff",
+	res := run(t, time.Minute, "ltesniff",
 		"-network", "Lab", "-app", "YouTube", "-duration", "5s", "-seed", "7")
 	if res.ExitCode != 0 {
 		t.Fatalf("ltesniff exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
@@ -69,7 +67,7 @@ func TestLtesniffCaptureCSV(t *testing.T) {
 	if !strings.Contains(res.Stderr, "health:") {
 		t.Errorf("expected a capture-health summary on stderr, got:\n%s", res.Stderr)
 	}
-	harness.Golden(t, "ltesniff_capture_csv", res.Stdout)
+	golden(t, "ltesniff_capture_csv", res.Stdout)
 }
 
 // TestLtetrainThenFingerprint chains three binaries the way the paper's
@@ -79,39 +77,39 @@ func TestLtesniffCaptureCSV(t *testing.T) {
 func TestLtetrainThenFingerprint(t *testing.T) {
 	model := trainedModel(t)
 	trace := filepath.Join(t.TempDir(), "victim.csv")
-	res := harness.Run(t, time.Minute, "ltesniff",
+	res := run(t, time.Minute, "ltesniff",
 		"-network", "Lab", "-app", "YouTube", "-duration", "30s", "-seed", "42",
 		"-out", trace)
 	if res.ExitCode != 0 {
 		t.Fatalf("ltesniff exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
-	res = harness.Run(t, time.Minute, "lteattack", "fingerprint",
+	res = run(t, time.Minute, "lteattack", "fingerprint",
 		"-model", model, "-trace", trace)
 	if res.ExitCode != 0 {
 		t.Fatalf("lteattack fingerprint exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
-	harness.Golden(t, "lteattack_fingerprint", res.Stdout)
+	golden(t, "lteattack_fingerprint", res.Stdout)
 }
 
 // TestLteattackHistory pins the zone-history attack's table output.
 func TestLteattackHistory(t *testing.T) {
 	model := trainedModel(t)
-	res := harness.Run(t, 2*time.Minute, "lteattack", "history",
+	res := run(t, 2*time.Minute, "lteattack", "history",
 		"-model", model, "-network", "Lab", "-seed", "99", "-minutes", "1")
 	if res.ExitCode != 0 {
 		t.Fatalf("lteattack history exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
-	harness.Golden(t, "lteattack_history", res.Stdout)
+	golden(t, "lteattack_history", res.Stdout)
 }
 
 // TestLtecost pins the attack cost model table — pure arithmetic, so any
 // drift is a real change to the model.
 func TestLtecost(t *testing.T) {
-	res := harness.Run(t, time.Minute, "ltecost")
+	res := run(t, time.Minute, "ltecost")
 	if res.ExitCode != 0 {
 		t.Fatalf("ltecost exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
-	harness.Golden(t, "ltecost", res.Stdout)
+	golden(t, "ltecost", res.Stdout)
 }
 
 var elapsedRE = regexp.MustCompile(`elapsed [^)]*\)`)
@@ -120,26 +118,26 @@ var elapsedRE = regexp.MustCompile(`elapsed [^)]*\)`)
 // The header's wall-clock elapsed field is normalised away; everything
 // else must be deterministic in the seed.
 func TestLteexperimentsCost(t *testing.T) {
-	res := harness.Run(t, time.Minute, "lteexperiments", "-only", "cost", "-seed", "1")
+	res := run(t, time.Minute, "lteexperiments", "-only", "cost", "-seed", "1")
 	if res.ExitCode != 0 {
 		t.Fatalf("lteexperiments exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
 	got := elapsedRE.ReplaceAllString(res.Stdout, "elapsed X)")
-	harness.Golden(t, "lteexperiments_cost", got)
+	golden(t, "lteexperiments_cost", got)
 }
 
 // TestLteattackPresence pins the paging-channel presence probe's ranked
 // output: on the undefended Lab network the victim answers every probe,
 // and the identity-concealment defense flips the verdict to ABSENT.
 func TestLteattackPresence(t *testing.T) {
-	res := harness.Run(t, 2*time.Minute, "lteattack", "presence",
+	res := run(t, 2*time.Minute, "lteattack", "presence",
 		"-population", "20", "-probes", "6", "-seed", "7")
 	if res.ExitCode != 0 {
 		t.Fatalf("lteattack presence exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
-	harness.Golden(t, "lteattack_presence", res.Stdout)
+	golden(t, "lteattack_presence", res.Stdout)
 
-	res = harness.Run(t, 2*time.Minute, "lteattack", "presence",
+	res = run(t, 2*time.Minute, "lteattack", "presence",
 		"-population", "20", "-probes", "6", "-seed", "7", "-defenses", "smartpaging,conceal")
 	if res.ExitCode != 0 {
 		t.Fatalf("defended lteattack presence exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
@@ -170,7 +168,7 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"lteexperiments", []string{"-only", "defenses"}, "unknown experiment"},
 	}
 	for _, tc := range cases {
-		res := harness.Run(t, time.Minute, tc.name, tc.args...)
+		res := run(t, time.Minute, tc.name, tc.args...)
 		if res.ExitCode == 0 {
 			t.Errorf("%s %v exited 0, want failure", tc.name, tc.args)
 		}
@@ -188,7 +186,7 @@ func TestLtesniffLiveInterruptDrains(t *testing.T) {
 	model := trainedModel(t)
 	// 2h of simulated time is a few seconds of wall clock: plenty of
 	// runway to interrupt mid-capture, long after the first verdict.
-	p := harness.Start(t, "ltesniff",
+	p := start(t, "ltesniff",
 		"-live", "-model", model,
 		"-network", "Lab", "-app", "YouTube", "-duration", "2h", "-seed", "7")
 	p.WaitForStdout("t=", 30*time.Second)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ltefp/internal/harness"
 )
 
 // captureLines filters a daemon stdout dump down to one capture's lines
@@ -34,7 +32,7 @@ func captureLines(out, name, kind string) []string {
 // order.
 func TestLteattackdFinals(t *testing.T) {
 	model := trainedModel(t)
-	res := harness.Run(t, 2*time.Minute, "lteattackd",
+	res := run(t, 2*time.Minute, "lteattackd",
 		"-model", model,
 		"-capture", "alice:Lab:YouTube:15s:7",
 		"-capture", "bob:Lab:Skype:15s:11")
@@ -47,7 +45,7 @@ func TestLteattackdFinals(t *testing.T) {
 			pinned = append(pinned, captureLines(res.Stdout, name, kind)...)
 		}
 	}
-	harness.Golden(t, "lteattackd_finals", strings.Join(pinned, "\n")+"\n")
+	golden(t, "lteattackd_finals", strings.Join(pinned, "\n")+"\n")
 }
 
 // TestLteattackdKill9CheckpointRestore is the tentpole's end-to-end
@@ -69,7 +67,7 @@ func TestLteattackdKill9CheckpointRestore(t *testing.T) {
 
 	// Reference: the same workload run start to finish, uninterrupted.
 	refDir := t.TempDir()
-	ref := harness.Run(t, 5*time.Minute, "lteattackd", daemonArgs(refDir)...)
+	ref := run(t, 5*time.Minute, "lteattackd", daemonArgs(refDir)...)
 	if ref.ExitCode != 0 {
 		t.Fatalf("reference lteattackd exited %d\nstderr:\n%s", ref.ExitCode, ref.Stderr)
 	}
@@ -78,8 +76,8 @@ func TestLteattackdKill9CheckpointRestore(t *testing.T) {
 	// set has landed — no drain, no flush, files only as durable as the
 	// atomic rename made them.
 	dir := t.TempDir()
-	p := harness.Start(t, "lteattackd", daemonArgs(dir)...)
-	harness.WaitForFiles(t, time.Minute,
+	p := start(t, "lteattackd", daemonArgs(dir)...)
+	waitForFiles(t, time.Minute,
 		filepath.Join(dir, "alice.ckpt"), filepath.Join(dir, "bob.ckpt"))
 	p.Kill()
 	killed := p.Wait(30 * time.Second)
@@ -93,7 +91,7 @@ func TestLteattackdKill9CheckpointRestore(t *testing.T) {
 	}
 
 	// Restart from the checkpoints and let it run to completion.
-	res := harness.Run(t, 5*time.Minute, "lteattackd", daemonArgs(dir)...)
+	res := run(t, 5*time.Minute, "lteattackd", daemonArgs(dir)...)
 	if res.ExitCode != 0 {
 		t.Fatalf("restarted lteattackd exited %d\nstderr:\n%s", res.ExitCode, res.Stderr)
 	}
@@ -144,7 +142,7 @@ func TestLteattackdRejectsForeignCheckpoint(t *testing.T) {
 		[]byte("\x0e\x7f\x04\x01\x02\xffnot a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res := harness.Run(t, 2*time.Minute, "lteattackd",
+	res := run(t, 2*time.Minute, "lteattackd",
 		"-model", model, "-checkpoint-dir", dir,
 		"-capture", "alice:Lab:YouTube:15s:7")
 	if res.ExitCode != 0 {

@@ -143,8 +143,7 @@ type Capture struct {
 }
 
 // prepared is a scenario instantiated but not yet (fully) run: the network,
-// its sniffers, and the timeline bounds. Both the batch Run and the
-// streaming Live stepper build on it.
+// its sniffers, and the timeline bounds, which a Live steps through.
 type prepared struct {
 	n        *network.Network
 	sniffers []*sniffer.Sniffer
@@ -250,36 +249,33 @@ func addHealth(h *sniffer.Stats, st sniffer.Stats) {
 	h.PlausibilityRejects += st.PlausibilityRejects
 }
 
-// Run executes the scenario.
+// Run executes the scenario: a Live stepped once to the scenario end and
+// closed, followed by the post-hoc assembly (time sort, identity mapping,
+// TMSI histories). With every RNTI's sighting count final, the one drain
+// releases exactly the records the plausibility filter keeps, in capture
+// order per sniffer.
 func Run(sc Scenario) (*Capture, error) {
-	p, err := prepare(sc)
+	l, err := NewLive(sc)
 	if err != nil {
 		return nil, err
 	}
-	n, sniffers, ues := p.n, p.sniffers, p.ues
-	maxIdle := p.maxIdle
-	n.Run(p.end)
+	p := l.p
+	records, _, _ := l.Step(nil, p.end)
+	l.Close()
 
-	out := &Capture{TMSIs: make(map[string][]uint32, len(ues))}
-	total := 0
-	for _, s := range sniffers {
-		total += len(s.Records())
-	}
-	out.Records = make(trace.Trace, 0, total)
-	for _, s := range sniffers {
-		out.Records = s.AppendValidated(out.Records, minRNTISightings)
+	out := &Capture{Records: records, TMSIs: make(map[string][]uint32, len(p.ues))}
+	for _, s := range p.sniffers {
 		out.Events = append(out.Events, s.IdentityEvents()...)
 		out.Pagings = append(out.Pagings, s.PagingEvents()...)
-		st := s.Stats()
-		out.Dropped += st.Dropped
-		addHealth(&out.Health, st)
 	}
-	n.EachCell(func(c *enb.Cell) { out.Defense.Add(c.DefenseStats()) })
+	out.Health = l.Health()
+	out.Dropped = out.Health.Dropped
+	p.n.EachCell(func(c *enb.Cell) { out.Defense.Add(c.DefenseStats()) })
 	out.Records.Sort()
 	sort.SliceStable(out.Events, func(i, j int) bool { return out.Events[i].At < out.Events[j].At })
-	out.Mapper = identity.Build(out.Events, out.Records, maxIdle+2*time.Second)
-	for name, u := range ues {
-		for _, t := range n.TMSIHistory(u) {
+	out.Mapper = identity.Build(out.Events, out.Records, p.maxIdle+2*time.Second)
+	for name, u := range p.ues {
+		for _, t := range p.n.TMSIHistory(u) {
 			out.TMSIs[name] = append(out.TMSIs[name], uint32(t))
 		}
 	}

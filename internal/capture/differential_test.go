@@ -155,3 +155,68 @@ func TestSchedulerScenarioDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMatchesOracle checks Run, a Live stepped once to the scenario end,
+// against the batch path it replaced (runOracle: one n.Run, then
+// AppendValidated per sniffer) on randomized scenarios with heavier
+// corruption, explicit capture loss and every direction setting on top of
+// randomScenario's draws. Records must agree one for one in order, and so
+// must the digest of everything else a capture holds, the defense
+// counters and every session UE's attributed trace.
+func TestRunMatchesOracle(t *testing.T) {
+	g := sim.NewRNG(0x0c1e)
+	var records, rejects, dropped int64
+	for i := 0; i < 30; i++ {
+		sc := randomScenario(t, g)
+		sc.Sniffer.CorruptProb = g.Uniform(0.002, 0.08)
+		sc.ApplyProfileLoss = false
+		sc.Sniffer.LossProb = g.Uniform(0, 0.2)
+		sc.Sniffer.DownlinkOnly, sc.Sniffer.UplinkOnly = false, false
+		switch i % 3 {
+		case 1:
+			sc.Sniffer.DownlinkOnly = true
+		case 2:
+			sc.Sniffer.UplinkOnly = true
+		}
+		got, err := capture.Run(sc)
+		if err != nil {
+			t.Fatalf("scenario %d: %v", i, err)
+		}
+		want, err := capture.RunOracle(sc)
+		if err != nil {
+			t.Fatalf("scenario %d oracle: %v", i, err)
+		}
+		if len(got.Records) != len(want.Records) {
+			t.Fatalf("scenario %d: Run kept %d records, oracle %d", i, len(got.Records), len(want.Records))
+		}
+		for j := range want.Records {
+			if got.Records[j] != want.Records[j] {
+				t.Fatalf("scenario %d record %d: Run %+v, oracle %+v", i, j, got.Records[j], want.Records[j])
+			}
+		}
+		records += int64(len(want.Records))
+		rejects += want.Health.PlausibilityRejects
+		dropped += want.Dropped
+		if g, w := captureDigest(got), captureDigest(want); g != w {
+			t.Fatalf("scenario %d: digest %s, oracle %s", i, g, w)
+		}
+		if got.Defense != want.Defense {
+			t.Fatalf("scenario %d: defense %+v, oracle %+v", i, got.Defense, want.Defense)
+		}
+		for _, s := range sc.Sessions {
+			gu, wu := got.UserTrace(s.UE), want.UserTrace(s.UE)
+			if len(gu) != len(wu) {
+				t.Fatalf("scenario %d: %s trace has %d records, oracle %d", i, s.UE, len(gu), len(wu))
+			}
+			for j := range wu {
+				if gu[j] != wu[j] {
+					t.Fatalf("scenario %d: %s record %d: Run %+v, oracle %+v", i, s.UE, j, gu[j], wu[j])
+				}
+			}
+		}
+	}
+	if records == 0 || rejects == 0 || dropped == 0 {
+		t.Fatalf("draws kept %d records, rejected %d, lost %d; the filter or loss went unchecked", records, rejects, dropped)
+	}
+	t.Logf("%d records kept, %d plausibility rejects, %d lost", records, rejects, dropped)
+}

@@ -7,20 +7,18 @@ import (
 	"ltefp/internal/trace"
 )
 
-// Live is a scenario being captured incrementally: the same deterministic
-// simulation Run executes in one shot, stepped in wall-of-simulated-time
-// slices with each cell's sniffer drained between steps. It feeds the
-// online pipeline in internal/stream; the batch path's post-hoc identity
-// mapping is intentionally absent — a live attacker reads per-RNTI
-// verdicts as they form.
+// Live is a scenario being captured incrementally: the deterministic
+// simulation stepped in simulated-time slices with each cell's sniffer
+// drained between steps. It feeds the online pipeline in internal/stream,
+// and Run is a Live stepped once to its end and closed, followed by Run's
+// post-hoc identity mapping — a live attacker reads per-RNTI verdicts as
+// they form instead.
 //
-// Records drained across all steps are exactly the records Run's batch
-// validation would keep for the same scenario (per-RNTI time order
-// preserved, cross-RNTI interleaving unspecified while the plausibility
-// filter holds early sightings back). A Live is not safe for concurrent
-// use.
+// Records drained across all steps are exactly the records a single step
+// to the end drains for the same scenario (per-RNTI time order preserved,
+// cross-RNTI interleaving unspecified while the plausibility filter holds
+// early sightings back). A Live is not safe for concurrent use.
 type Live struct {
-	sc     Scenario
 	p      *prepared
 	now    time.Duration
 	closed bool
@@ -32,7 +30,7 @@ func NewLive(sc Scenario) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Live{sc: sc, p: p}, nil
+	return &Live{p: p}, nil
 }
 
 // End returns the simulated time the scenario completes (last session end

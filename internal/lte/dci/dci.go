@@ -162,7 +162,8 @@ func unriv(v uint32) (rbStart, nprb int, err error) {
 	return int(s), int(l), nil
 }
 
-// Pack serialises the message into a fixed-size payload.
+// PackInto serialises the message into out, which must be exactly
+// PayloadLen bytes, so schedulers can pack into a reused payload arena.
 //
 // Bit layout (MSB first):
 //
@@ -170,17 +171,6 @@ func unriv(v uint32) (rbStart, nprb int, err error) {
 //
 // flag=0 selects format 0, flag=1 selects format 1A, mirroring the real
 // format 0/1A differentiation bit.
-func (m *Message) Pack() ([]byte, error) {
-	out := make([]byte, PayloadLen)
-	if err := m.PackInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PackInto serialises the message into out, which must be exactly
-// PayloadLen bytes. It produces the same bytes as Pack without allocating,
-// for schedulers that pack into a reused payload arena.
 func (m *Message) PackInto(out []byte) error {
 	if len(out) != PayloadLen {
 		return fmt.Errorf("dci: pack buffer length %d, want %d", len(out), PayloadLen)
@@ -210,7 +200,7 @@ func (m *Message) PackInto(out []byte) error {
 	return nil
 }
 
-// Parse deserialises a payload produced by Pack.
+// Parse deserialises a payload produced by PackInto.
 func Parse(payload []byte) (Message, error) {
 	if len(payload) != PayloadLen {
 		return Message{}, fmt.Errorf("dci: payload length %d, want %d", len(payload), PayloadLen)

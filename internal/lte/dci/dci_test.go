@@ -31,11 +31,8 @@ func TestRoundTrip(t *testing.T) {
 			format = dci.Format0
 		}
 		m := validMessage(format, rbStart, nprb, mcs, harq, rv, tpc, ndi)
-		payload, err := m.Pack()
-		if err != nil {
-			return false
-		}
-		if len(payload) != dci.PayloadLen {
+		payload := make([]byte, dci.PayloadLen)
+		if err := m.PackInto(payload); err != nil {
 			return false
 		}
 		got, err := dci.Parse(payload)
@@ -75,8 +72,8 @@ func TestValidate(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, m)
 		}
-		if _, err := m.Pack(); err == nil {
-			t.Errorf("case %d: Pack accepted %+v", i, m)
+		if err := m.PackInto(make([]byte, dci.PayloadLen)); err == nil {
+			t.Errorf("case %d: PackInto accepted %+v", i, m)
 		}
 	}
 }
@@ -113,8 +110,8 @@ func TestTransportBlockBytes(t *testing.T) {
 // allocations) must round-trip too.
 func TestFullSpanAllocation(t *testing.T) {
 	m := dci.Message{Format: dci.Format1A, RBStart: 0, NPRB: tbs.MaxPRB, MCS: 28}
-	payload, err := m.Pack()
-	if err != nil {
+	payload := make([]byte, dci.PayloadLen)
+	if err := m.PackInto(payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dci.Parse(payload)

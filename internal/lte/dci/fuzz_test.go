@@ -19,8 +19,8 @@ func FuzzDCIRoundTrip(f *testing.F) {
 		{Format: dci.Format1A, RBStart: 0, NPRB: 110, MCS: 28, HARQ: 3, NDI: true, RV: 1, TPC: 1},
 		{Format: dci.Format0, RBStart: 109, NPRB: 1, MCS: 9, HARQ: 5, TPC: 3},
 	} {
-		payload, err := m.Pack()
-		if err != nil {
+		payload := make([]byte, dci.PayloadLen)
+		if err := m.PackInto(payload); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)
@@ -40,8 +40,8 @@ func FuzzDCIRoundTrip(f *testing.F) {
 		if _, err := m.TransportBlockBytes(); err != nil {
 			t.Fatalf("accepted message has no TBS: %v", err)
 		}
-		repacked, err := m.Pack()
-		if err != nil {
+		repacked := make([]byte, dci.PayloadLen)
+		if err := m.PackInto(repacked); err != nil {
 			t.Fatalf("accepted message does not re-pack: %v", err)
 		}
 		if !bytes.Equal(repacked, payload) {

@@ -72,24 +72,6 @@ func (c *Core) Reallocate(imsi IMSI) (TMSI, error) {
 	return t, nil
 }
 
-// TMSIOf returns the current TMSI of a subscriber.
-func (c *Core) TMSIOf(imsi IMSI) (TMSI, error) {
-	t, ok := c.byIMSI[imsi]
-	if !ok {
-		return 0, fmt.Errorf("lookup %q: %w", imsi, ErrUnknownSubscriber)
-	}
-	return t, nil
-}
-
-// Resolve returns the subscriber a TMSI currently belongs to.
-func (c *Core) Resolve(t TMSI) (IMSI, error) {
-	imsi, ok := c.byTMSI[t]
-	if !ok {
-		return "", fmt.Errorf("resolve %v: %w", t, ErrUnknownSubscriber)
-	}
-	return imsi, nil
-}
-
 // Detach removes a subscriber.
 func (c *Core) Detach(imsi IMSI) {
 	if t, ok := c.byIMSI[imsi]; ok {
@@ -97,9 +79,6 @@ func (c *Core) Detach(imsi IMSI) {
 		delete(c.byIMSI, imsi)
 	}
 }
-
-// Registered reports the number of attached subscribers.
-func (c *Core) Registered() int { return len(c.byIMSI) }
 
 func (c *Core) freshTMSI() TMSI {
 	for {

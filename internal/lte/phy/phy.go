@@ -60,12 +60,6 @@ type Subframe struct {
 	RACH []Preamble
 }
 
-// SFN returns the 10 ms system frame number (mod 1024) and the subframe
-// number within the frame.
-func (s *Subframe) SFN() (frame, sub int) {
-	return int((s.Index / 10) % 1024), int(s.Index % 10)
-}
-
 // searchSpaceHash implements the Y_k recursion of TS 36.213 §9.1.1 that
 // seeds UE-specific candidate locations: Y_k = (A · Y_{k-1}) mod D with
 // A = 39827, D = 65537 and Y_{-1} = RNTI.
@@ -237,15 +231,4 @@ func (m *CCEMap) mark(first, n int) {
 	for i := first; i < first+n; i++ {
 		m.used[i] = true
 	}
-}
-
-// Used reports how many CCEs are occupied.
-func (m *CCEMap) Used() int {
-	n := 0
-	for _, u := range m.used {
-		if u {
-			n++
-		}
-	}
-	return n
 }

@@ -116,11 +116,3 @@ func TestCCEMapCongestion(t *testing.T) {
 		t.Fatalf("Used() = %d exceeds grid size", m.Used())
 	}
 }
-
-func TestSubframeSFN(t *testing.T) {
-	sf := phy.Subframe{Index: 10*1024*3 + 57}
-	frame, sub := sf.SFN()
-	if frame != 5 || sub != 7 {
-		t.Fatalf("SFN() = (%d, %d), want (5, 7)", frame, sub)
-	}
-}

@@ -111,9 +111,6 @@ func (a *Allocator) Release(r RNTI) {
 	}
 }
 
-// Active reports the number of allocated C-RNTIs.
-func (a *Allocator) Active() int { return len(a.inUse) }
-
 func (a *Allocator) cooling(r RNTI) bool {
 	for _, c := range a.cool {
 		if c == r {

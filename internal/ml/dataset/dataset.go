@@ -82,8 +82,8 @@ func (d *Dataset) ClassCounts() []int {
 // Subset returns a dataset containing the given rows. The row and label
 // bookkeeping is fresh, but the feature vectors themselves are SHARED with
 // the parent — mutating a row through either dataset is visible in both.
-// Everything derived through Subset (Split, KFold, SamplePerClass)
-// inherits this sharing; use Clone before mutating rows in place.
+// Everything derived through Subset (Split, SamplePerClass) inherits this
+// sharing; copy rows before mutating them in place.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	out := New(d.Classes, d.Features)
 	out.X = make([][]float64, len(idx))
@@ -91,22 +91,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	for i, j := range idx {
 		out.X[i] = d.X[j]
 		out.Y[i] = d.Y[j]
-	}
-	return out
-}
-
-// Clone returns a deep copy whose feature vectors are independent of the
-// receiver's — the escape hatch from the row-sharing contract of Subset
-// and its derivatives for callers that mutate rows.
-func (d *Dataset) Clone() *Dataset {
-	out := New(d.Classes, d.Features)
-	out.X = make([][]float64, len(d.X))
-	out.Y = make([]int, len(d.Y))
-	copy(out.Y, d.Y)
-	flat := make([]float64, 0, len(d.X)*d.Dim())
-	for i, x := range d.X {
-		flat = append(flat, x...)
-		out.X[i] = flat[len(flat)-len(x) : len(flat) : len(flat)]
 	}
 	return out
 }
@@ -142,44 +126,6 @@ func (d *Dataset) Split(trainFrac float64, rng *sim.RNG) (train, test *Dataset) 
 	rng.Shuffle(len(trainIdx), func(i, j int) { trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i] })
 	rng.Shuffle(len(testIdx), func(i, j int) { testIdx[i], testIdx[j] = testIdx[j], testIdx[i] })
 	return d.Subset(trainIdx), d.Subset(testIdx)
-}
-
-// Fold is one cross-validation fold.
-type Fold struct {
-	Train *Dataset
-	Test  *Dataset
-}
-
-// KFold returns k stratified folds. Every fold shares its feature vectors
-// with the receiver (see Subset).
-func (d *Dataset) KFold(k int, rng *sim.RNG) []Fold {
-	if k < 2 {
-		panic("dataset: k-fold needs k >= 2")
-	}
-	perClass := make(map[int][]int)
-	for i, y := range d.Y {
-		perClass[y] = append(perClass[y], i)
-	}
-	assign := make([]int, len(d.Y)) // row → fold
-	for _, idx := range perClass {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for i, row := range idx {
-			assign[row] = i % k
-		}
-	}
-	folds := make([]Fold, k)
-	for f := 0; f < k; f++ {
-		var trainIdx, testIdx []int
-		for row, fa := range assign {
-			if fa == f {
-				testIdx = append(testIdx, row)
-			} else {
-				trainIdx = append(trainIdx, row)
-			}
-		}
-		folds[f] = Fold{Train: d.Subset(trainIdx), Test: d.Subset(testIdx)}
-	}
-	return folds
 }
 
 // SamplePerClass returns a dataset holding at most n rows of each class,

@@ -63,24 +63,6 @@ func TestSplitPanicsOnBadFraction(t *testing.T) {
 	synthetic(10, 1).Split(1.5, sim.NewRNG(1))
 }
 
-func TestKFoldPartition(t *testing.T) {
-	ds := synthetic(300, 4)
-	folds := ds.KFold(5, sim.NewRNG(5))
-	if len(folds) != 5 {
-		t.Fatalf("%d folds", len(folds))
-	}
-	testTotal := 0
-	for _, f := range folds {
-		testTotal += f.Test.Len()
-		if f.Train.Len()+f.Test.Len() != ds.Len() {
-			t.Fatal("fold does not partition the dataset")
-		}
-	}
-	if testTotal != ds.Len() {
-		t.Fatalf("test folds cover %d rows, want %d", testTotal, ds.Len())
-	}
-}
-
 func TestSamplePerClass(t *testing.T) {
 	ds := synthetic(900, 6)
 	small := ds.SamplePerClass(50, sim.NewRNG(7))
@@ -134,7 +116,7 @@ func TestSubsetCopies(t *testing.T) {
 	}
 }
 
-func TestSubsetSharesRowsCloneDoesNot(t *testing.T) {
+func TestSubsetSharesRows(t *testing.T) {
 	ds := synthetic(10, 9)
 	orig := ds.X[0][0]
 
@@ -142,28 +124,5 @@ func TestSubsetSharesRowsCloneDoesNot(t *testing.T) {
 	sub.X[0][0] = orig + 100
 	if ds.X[0][0] != orig+100 {
 		t.Fatal("Subset documented as sharing rows, but mutation did not propagate")
-	}
-	ds.X[0][0] = orig
-
-	cl := ds.Clone()
-	if err := cl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Len() != ds.Len() || cl.Dim() != ds.Dim() {
-		t.Fatalf("Clone shape (%d, %d) != (%d, %d)", cl.Len(), cl.Dim(), ds.Len(), ds.Dim())
-	}
-	for i := range cl.X {
-		if cl.Y[i] != ds.Y[i] {
-			t.Fatalf("Clone label %d differs", i)
-		}
-		for j := range cl.X[i] {
-			if cl.X[i][j] != ds.X[i][j] {
-				t.Fatalf("Clone row %d differs at %d", i, j)
-			}
-		}
-	}
-	cl.X[0][0] = orig + 500
-	if ds.X[0][0] != orig {
-		t.Fatal("Clone shares row storage with parent")
 	}
 }

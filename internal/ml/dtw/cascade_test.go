@@ -52,7 +52,7 @@ func TestLowerBoundCascadeOrder(t *testing.T) {
 		keoghAB := dtw.LBKeogh(sa, sb)
 		keoghBA := dtw.LBKeogh(sb, sa)
 		_, _, band := normBand(sa.Raw(), sb.Raw())
-		d := al.DistanceBand(sa.Norm(), sb.Norm(), band)
+		d := al.DistanceBand(dtw.Normalize(sa.Raw()), dtw.Normalize(sb.Raw()), band)
 		if kim > keoghAB || kim > keoghBA {
 			t.Fatalf("n=%d: LB_Kim %v above LB_Keogh (%v, %v)", n, kim, keoghAB, keoghBA)
 		}
@@ -77,7 +77,7 @@ func TestLBKeoghUnequalLengthsFallsBack(t *testing.T) {
 		t.Fatalf("unequal-length LBKeogh = %v, want LBKim %v", got, want)
 	}
 	_, _, band := normBand(sa.Raw(), sb.Raw())
-	d := dtw.DistanceBand(sa.Norm(), sb.Norm(), band)
+	d := dtw.DistanceBand(dtw.Normalize(sa.Raw()), dtw.Normalize(sb.Raw()), band)
 	if kim := dtw.LBKim(sa, sb); kim > d+1e-12 {
 		t.Fatalf("LBKim %v above banded DTW %v for unequal lengths", kim, d)
 	}
@@ -233,11 +233,12 @@ func TestCascadeAllocs(t *testing.T) {
 	g := sim.NewRNG(17)
 	x, y := series(g, 300), series(g, 300)
 	sa, sb := dtw.NewSeries(x), dtw.NewSeries(y)
+	na, nb := dtw.Normalize(x), dtw.Normalize(y)
 	al := dtw.NewAligner()
 	al.CascadeSimilarity(sa, sb, 0.5) // warm scratch
 	if n := testing.AllocsPerRun(50, func() {
 		al.CascadeSimilarity(sa, sb, 0.5)
-		al.DistanceBandEA(sa.Norm(), sb.Norm(), 30, math.Inf(1))
+		al.DistanceBandEA(na, nb, 30, math.Inf(1))
 	}); n != 0 {
 		t.Fatalf("cascade path allocates %.1f per run, want 0", n)
 	}

@@ -26,20 +26,11 @@ type Aligner struct {
 // NewAligner returns an Aligner with empty scratch state.
 func NewAligner() *Aligner { return &Aligner{} }
 
-// Distance returns the unconstrained DTW distance between two series using
-// squared point distance, matching the Euclidean cost matrix of Eq. (1).
-// Empty inputs yield +Inf (nothing aligns with something).
-func Distance(a, b []float64) float64 {
-	return NewAligner().DistanceBand(a, b, -1)
-}
-
-// Distance is the package-level Distance reusing the aligner's scratch.
-func (al *Aligner) Distance(a, b []float64) float64 {
-	return al.DistanceBand(a, b, -1)
-}
-
-// DistanceBand returns the DTW distance constrained to a Sakoe-Chiba band
-// of the given half-width (band < 0 disables the constraint).
+// DistanceBand returns the DTW distance between two series using squared
+// point distance, matching the Euclidean cost matrix of Eq. (1),
+// constrained to a Sakoe-Chiba band of the given half-width (band < 0
+// disables the constraint). Empty inputs yield +Inf (nothing aligns with
+// something), two empty inputs 0.
 func DistanceBand(a, b []float64, band int) float64 {
 	return NewAligner().DistanceBand(a, b, band)
 }

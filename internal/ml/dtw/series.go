@@ -52,9 +52,6 @@ func (s *Series) Len() int { return len(s.raw) }
 // Raw returns the raw values the series was built from.
 func (s *Series) Raw() []float64 { return s.raw }
 
-// Norm returns the z-normalised values.
-func (s *Series) Norm() []float64 { return s.norm }
-
 // bandFor is the 10% Sakoe-Chiba half-width Similarity uses for a pair of
 // series of lengths n and m.
 func bandFor(n, m int) int { return (max(n, m) + 9) / 10 }

@@ -75,16 +75,6 @@ func orderedKey(f float64) uint64 {
 	return b | sign
 }
 
-// keyFloat inverts orderedKey, returning the threshold a node's key was
-// made from (a -0 threshold comes back as +0, which splits identically).
-func keyFloat(k uint64) float64 {
-	const sign = 1 << 63
-	if k&sign != 0 {
-		return math.Float64frombits(k &^ sign)
-	}
-	return math.Float64frombits(^k)
-}
-
 // PredictBatch classifies every row of X and returns the predicted class
 // indices. Within each chunk trees are walked in tree-major order so one
 // tree's nodes stay hot in cache across many rows, and when GOMAXPROCS

@@ -16,8 +16,7 @@
 // A forest has one representation (see Forest): a flat array of 16-byte
 // preorder nodes, per-tree root offsets and one leaf-distribution arena.
 // Train lays the grown trees out in it, the batched lane kernels (the one
-// prediction path) and FeatureImportance walk it, and Encode and Decode
-// persist it in the model-file layout, which no other package knows.
+// prediction path) walk it, and Encode and Decode persist it in the model-file layout, which no other package knows.
 package forest
 
 import (

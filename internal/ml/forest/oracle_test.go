@@ -13,6 +13,16 @@ import (
 // row at a time with a plain loop, so the tests can check the kernels'
 // branch-free selects, lane bookkeeping and chunking against it.
 
+// keyFloat inverts orderedKey, returning the threshold a node's key was
+// made from (a -0 threshold comes back as +0, which splits identically).
+func keyFloat(k uint64) float64 {
+	const sign = 1 << 63
+	if k&sign != 0 {
+		return math.Float64frombits(k &^ sign)
+	}
+	return math.Float64frombits(^k)
+}
+
 // descend walks x from node i down to its leaf and returns the leaf's
 // index. It compares the same ordered keys as the lane kernels, so a row
 // lands on the same leaf whichever path classifies it.

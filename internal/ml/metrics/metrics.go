@@ -98,18 +98,6 @@ func (c *Confusion) WeightedF1() float64 {
 	return sum / float64(c.total)
 }
 
-// MacroF1 returns the unweighted mean of per-class F-scores.
-func (c *Confusion) MacroF1() float64 {
-	if len(c.Classes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range c.Classes {
-		sum += c.F1(i)
-	}
-	return sum / float64(len(c.Classes))
-}
-
 // String renders the matrix with per-class metrics, one class per line.
 func (c *Confusion) String() string {
 	var b strings.Builder

@@ -16,13 +16,6 @@ func (c *Clock) Now() time.Duration { return c.now }
 // Subframe returns the absolute subframe index (1 ms ticks since start).
 func (c *Clock) Subframe() int64 { return int64(c.now / TTI) }
 
-// SFN returns the system frame number (10 ms frames, modulo 1024 as on the
-// air interface) and the subframe number within the frame.
-func (c *Clock) SFN() (frame int, subframe int) {
-	sf := c.Subframe()
-	return int((sf / 10) % 1024), int(sf % 10)
-}
-
 // Tick advances the clock by one TTI.
 func (c *Clock) Tick() { c.now += TTI }
 

@@ -124,13 +124,9 @@ func (g *RNG) Pareto(scale, alpha float64) float64 {
 	return scale / math.Pow(u, 1/alpha)
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // PermInto fills p with a random permutation of [0, len(p)) without
-// allocating. It consumes exactly the same random draws as Perm(len(p))
-// (identity fill followed by Shuffle), so callers can switch between the
-// two without perturbing downstream streams.
+// allocating. It consumes exactly the same random draws as math/rand/v2's
+// Perm(len(p)) (identity fill followed by Shuffle).
 func (g *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i

@@ -175,9 +175,8 @@ func TestClock(t *testing.T) {
 	for i := 0; i < 10257; i++ {
 		c.Tick()
 	}
-	frame, sub := c.SFN()
-	if frame != (10257/10)%1024 || sub != 7 {
-		t.Fatalf("SFN = (%d, %d)", frame, sub)
+	if c.Subframe() != 10257 || c.Now() != 10257*sim.TTI {
+		t.Fatalf("after 10257 ticks: subframe %d, now %v", c.Subframe(), c.Now())
 	}
 	c.AdvanceTo(20 * time.Second)
 	if c.Subframe() != 20000 {

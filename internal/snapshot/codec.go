@@ -35,9 +35,6 @@ func (e *Encoder) Varint(v int64) {
 	e.buf = binary.AppendVarint(e.buf, v)
 }
 
-// U16 appends a fixed-width little-endian uint16.
-func (e *Encoder) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-
 // U32 appends a fixed-width little-endian uint32.
 func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
@@ -173,15 +170,6 @@ func (d *Decoder) varintSlow() int64 {
 	}
 	d.off += n
 	return v
-}
-
-// U16 reads a fixed-width little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a fixed-width little-endian uint32.

@@ -170,7 +170,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Uvarint(0)
 	e.Uvarint(1<<63 + 17)
 	e.Varint(-40)
-	e.U16(0xbeef)
 	e.U32(0xdeadbeef)
 	e.U64(0x0123456789abcdef)
 	e.I64(-9e18)
@@ -192,9 +191,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if v := d.Varint(); v != -40 {
 		t.Errorf("Varint = %d", v)
-	}
-	if v := d.U16(); v != 0xbeef {
-		t.Errorf("U16 = %x", v)
 	}
 	if v := d.U32(); v != 0xdeadbeef {
 		t.Errorf("U32 = %x", v)
@@ -254,10 +250,10 @@ func TestDecoderSticky(t *testing.T) {
 
 func TestDecoderTrailingBytes(t *testing.T) {
 	e := NewEncoder(8)
-	e.U16(7)
-	e.U16(9)
+	e.U32(7)
+	e.U32(9)
 	d := NewDecoder(e.Bytes())
-	_ = d.U16()
+	_ = d.U32()
 	if err := d.Finish(); err == nil {
 		t.Fatal("Finish with unread bytes = nil")
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-	"time"
 
 	"ltefp/internal/lte/crc"
 	"ltefp/internal/lte/dci"
@@ -18,53 +17,48 @@ import (
 // edgeRNTIs are the addresses the op stream picks most often: both ends of
 // the 16-bit space, the RA and C-RNTI range boundaries, and the paging and
 // system-information identities. Only the C-RNTIs among them may ever
-// enter the activity table.
+// enter the count table.
 var edgeRNTIs = []rnti.RNTI{
 	0, 1, rnti.RAMax, rnti.CMin, rnti.CMin + 1, 0x4242,
 	rnti.CMax - 1, rnti.CMax, rnti.CMax + 1, rnti.PRNTI, rnti.SIRNTI,
 }
 
-// tableActivity reads r's Activity the way the sniffer's own accessors
-// do: through the slot index, the zero Activity for an RNTI never seen.
-func tableActivity(s *Sniffer, r rnti.RNTI) Activity {
-	if i := s.slot[r]; i != 0 {
-		return s.activity[i-1]
-	}
-	return Activity{}
-}
-
-// activityModel is the reference the slot-indexed table is checked
-// against: a map from RNTI to Activity, rebuilt from the captured records
-// (which the table does not influence), with the validation and drain
-// rules restated over it.
+// activityModel is the reference the RNTI-indexed count table is checked
+// against: a map from RNTI to sighting count, rebuilt from the captured
+// records (which the table does not influence), with the validation and
+// drain rules restated over it.
 type activityModel struct {
-	act     map[rnti.RNTI]Activity
-	fed     int // records folded into act so far
+	count   map[rnti.RNTI]int
+	fed     int // records folded into count so far
 	drained int
 	pending map[rnti.RNTI][]trace.Record
 }
 
 func newActivityModel() *activityModel {
-	return &activityModel{act: make(map[rnti.RNTI]Activity), pending: make(map[rnti.RNTI][]trace.Record)}
+	return &activityModel{count: make(map[rnti.RNTI]int), pending: make(map[rnti.RNTI][]trace.Record)}
 }
 
 // feed folds the records captured since the last call into the model.
 func (m *activityModel) feed(records trace.Trace) {
 	for ; m.fed < len(records); m.fed++ {
-		r := records[m.fed]
-		a, ok := m.act[r.RNTI]
-		if !ok {
-			a.First = r.At
+		m.count[records[m.fed].RNTI]++
+	}
+}
+
+// checkCounts fails unless s's count table reads as the model for every
+// RNTI the model has seen.
+func (m *activityModel) checkCounts(t *testing.T, s *Sniffer) {
+	t.Helper()
+	for r, want := range m.count {
+		if got := s.count(r); got != want {
+			t.Fatalf("count(%v) = %d, model %d", r, got, want)
 		}
-		a.Last = r.At
-		a.Count++
-		m.act[r.RNTI] = a
 	}
 }
 
 func (m *activityModel) validated(records trace.Trace, minCount int) (out trace.Trace, rejects int64) {
 	for _, r := range records {
-		if m.act[r.RNTI].Count >= minCount {
+		if m.count[r.RNTI] >= minCount {
 			out = append(out, r)
 		} else {
 			rejects++
@@ -76,7 +70,7 @@ func (m *activityModel) validated(records trace.Trace, minCount int) (out trace.
 func (m *activityModel) drain(records trace.Trace, minCount int) (out trace.Trace) {
 	for ; m.drained < len(records); m.drained++ {
 		r := records[m.drained]
-		if m.act[r.RNTI].Count < minCount {
+		if m.count[r.RNTI] < minCount {
 			m.pending[r.RNTI] = append(m.pending[r.RNTI], r)
 			continue
 		}
@@ -95,17 +89,6 @@ func (m *activityModel) flushRejected() (n int64) {
 	return n
 }
 
-func (m *activityModel) activeRNTIs(now, window time.Duration) []rnti.RNTI {
-	var out []rnti.RNTI
-	for r, a := range m.act {
-		if now-a.Last <= window {
-			out = append(out, r)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // opReader hands out the op stream's bytes, zeros once it is exhausted.
 type opReader struct{ b []byte }
 
@@ -121,14 +104,14 @@ func (o *opReader) next() byte {
 // checkActivityTable decodes ops into a subframe stream and feeds it to two
 // identically seeded sniffers: batch, read through AppendValidated, and
 // stream, read through DrainValidated and FlushRejected. Every accessor's
-// answer, at drain and activity checkpoints and at the end, must equal the
+// answer, at drain and count checkpoints and at the end, must equal the
 // map model's; at the end the whole 16-bit table must read as the model. It
 // returns the number of ghosts: captured RNTIs no candidate was sent to.
 //
 // Layout: four config bytes (loss, corruption, direction, minCount and rng
 // seed), then four-byte ops. By op kind: a PDCCH candidate to an edge RNTI,
 // to any 16-bit RNTI, or of garbage bytes; a subframe step of up to eight
-// TTIs; a drain checkpoint; an ActiveRNTIs checkpoint.
+// TTIs; a drain checkpoint; a count-table checkpoint.
 func checkActivityTable(t *testing.T, ops []byte) (ghosts int) {
 	t.Helper()
 	in := &opReader{b: ops}
@@ -173,8 +156,8 @@ func checkActivityTable(t *testing.T, ops []byte) (ghosts int) {
 			if c%2 == 1 {
 				msg.Format = dci.Format1A
 			}
-			payload, err := msg.Pack()
-			if err != nil {
+			payload := make([]byte, dci.PayloadLen)
+			if err := msg.PackInto(payload); err != nil {
 				t.Fatal(err)
 			}
 			if kind%8 == 4 {
@@ -195,11 +178,7 @@ func checkActivityTable(t *testing.T, ops []byte) (ghosts int) {
 		case 7:
 			flush()
 			model.feed(batch.Records())
-			now := time.Duration(sf.Index) * sim.TTI
-			window := time.Duration(a%64) * sim.TTI
-			if got, exp := batch.ActiveRNTIs(now, window), model.activeRNTIs(now, window); !slices.Equal(got, exp) {
-				t.Fatalf("ActiveRNTIs(%v, %v) = %v, model %v", now, window, got, exp)
-			}
+			model.checkCounts(t, batch)
 		}
 	}
 	flush()
@@ -239,35 +218,21 @@ func checkActivityTable(t *testing.T, ops []byte) (ghosts int) {
 	}
 
 	// The table reads as the model for every RNTI: each one the model saw
-	// has its Activity, and no other slot is set, so the rest (RNTIs 0 and
-	// 0xFFFF, every RNTI never seen) read as the zero Activity.
+	// has its count, and no other entry is set, so the rest (RNTIs 0 and
+	// 0xFFFF, every RNTI never seen) read as zero.
 	for _, s := range []*Sniffer{batch, stream} {
-		for r, exp := range model.act {
-			if got := tableActivity(s, r); got != exp {
-				t.Fatalf("activity[%v] = %+v, model %+v", r, got, exp)
-			}
-		}
+		model.checkCounts(t, s)
 		set := 0
-		for _, i := range s.slot {
-			if i != 0 {
+		for _, n := range s.counts {
+			if n != 0 {
 				set++
 			}
 		}
-		if set != len(model.act) || len(s.seen) != set || len(s.activity) != set {
-			t.Fatalf("table holds %d slots, %d RNTIs, %d activities; model %d", set, len(s.seen), len(s.activity), len(model.act))
-		}
-		for i, r := range s.seen {
-			if s.slot[r] != int32(i+1) {
-				t.Fatalf("seen[%d] = %v, but its slot holds %d", i, r, s.slot[r])
-			}
-		}
-		for _, r := range edgeRNTIs {
-			if _, ok := model.act[r]; !ok && tableActivity(s, r) != (Activity{}) {
-				t.Fatalf("never-seen RNTI %v reads %+v", r, tableActivity(s, r))
-			}
+		if set != len(model.count) {
+			t.Fatalf("table holds %d counts, model %d", set, len(model.count))
 		}
 	}
-	for r := range model.act {
+	for r := range model.count {
 		if !r.IsC() {
 			t.Fatalf("non-C-RNTI %v entered the activity table", r)
 		}

@@ -1,6 +1,7 @@
 package sniffer_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ import (
 func grantFor(t *testing.T, r rnti.RNTI) phy.Transmission {
 	t.Helper()
 	msg := dci.Message{Format: dci.Format1A, NPRB: 2, MCS: 9}
-	payload, err := msg.Pack()
-	if err != nil {
+	payload := make([]byte, dci.PayloadLen)
+	if err := msg.PackInto(payload); err != nil {
 		t.Fatal(err)
 	}
 	return phy.Transmission{Payload: payload, MaskedCRC: crc.Attach(payload, uint16(r))}
@@ -37,7 +38,7 @@ func TestValidationIsIdempotent(t *testing.T) {
 	b.cell.DeliverDL(b.u, 200000, b.now)
 	b.run(2 * time.Second)
 
-	first := s.ValidatedRecords(3)
+	first := s.AppendValidated(nil, 3)
 	rejects := reg.Snapshot().Counter("sniffer.plausibility_rejects")
 	if rejects == 0 {
 		t.Fatal("corrupting capture produced no plausibility rejects; nothing to regress")
@@ -46,7 +47,7 @@ func TestValidationIsIdempotent(t *testing.T) {
 		t.Fatalf("Stats.PlausibilityRejects = %d, obs counter = %d", got, rejects)
 	}
 	for i := 0; i < 3; i++ {
-		again := s.ValidatedRecords(3)
+		again := s.AppendValidated(nil, 3)
 		if len(again) != len(first) {
 			t.Fatalf("revalidation %d returned %d records, first returned %d", i, len(again), len(first))
 		}
@@ -77,12 +78,13 @@ func TestObserveZeroLengthPayload(t *testing.T) {
 	}
 }
 
-// TestActiveRNTIsBusyCell exercises the live user list at realistic scale:
-// hundreds of distinct C-RNTIs active at once must come back complete,
-// sorted, and correctly windowed.
-func TestActiveRNTIsBusyCell(t *testing.T) {
+// TestPlausibilityBusyCell exercises the count table at realistic scale:
+// hundreds of distinct C-RNTIs, seen one to four times each in an order
+// that is not sorted, must validate exactly the records of the RNTIs seen
+// at least the threshold number of times, in capture order.
+func TestPlausibilityBusyCell(t *testing.T) {
+	const users, minCount = 400, 3
 	s := sniffer.New(sniffer.Config{}, sim.NewRNG(7))
-	const users = 400
 	rng := sim.NewRNG(8)
 	rs := make([]rnti.RNTI, 0, users)
 	used := make(map[rnti.RNTI]bool)
@@ -94,31 +96,29 @@ func TestActiveRNTIsBusyCell(t *testing.T) {
 		used[r] = true
 		rs = append(rs, r)
 	}
-	// Each RNTI is seen on its own subframe, spread over 2 s in
-	// first-sighting order that is NOT sorted.
-	for i, r := range rs {
-		sf := &phy.Subframe{Index: int64(i * 5), PDCCH: []phy.Transmission{grantFor(t, r)}}
-		s.Observe(1, sf)
-	}
-	now := time.Duration(users*5) * sim.TTI
-	active := s.ActiveRNTIs(now, time.Minute)
-	if len(active) != users {
-		t.Fatalf("busy cell: %d active RNTIs, want %d", len(active), users)
-	}
-	if !sort.SliceIsSorted(active, func(i, j int) bool { return active[i] < active[j] }) {
-		t.Fatal("ActiveRNTIs output is not sorted")
-	}
-	want := append([]rnti.RNTI(nil), rs...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i := range want {
-		if active[i] != want[i] {
-			t.Fatalf("ActiveRNTIs[%d] = %v, want %v", i, active[i], want[i])
+	// RNTI i is seen 1 + i%4 times, round by round, each sighting on its
+	// own subframe.
+	idx := int64(0)
+	for round := 0; round < 4; round++ {
+		for i, r := range rs {
+			if round <= i%4 {
+				s.Observe(1, &phy.Subframe{Index: idx, PDCCH: []phy.Transmission{grantFor(t, r)}})
+				idx += 5
+			}
 		}
 	}
-	// A window covering only the tail keeps only recently-seen users.
-	tail := s.ActiveRNTIs(now, time.Duration(50*5)*sim.TTI)
-	if len(tail) >= users || len(tail) == 0 {
-		t.Fatalf("tail window returned %d of %d users", len(tail), users)
+	var want trace.Trace
+	for _, rec := range s.Records() {
+		if i := slices.Index(rs, rec.RNTI); 1+i%4 >= minCount {
+			want = append(want, rec)
+		}
+	}
+	got := s.AppendValidated(nil, minCount)
+	if len(got) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("busy cell: validated %d records, want %d", len(got), len(want))
+	}
+	if rejects := s.Stats().PlausibilityRejects; rejects != int64(len(s.Records())-len(want)) {
+		t.Fatalf("busy cell: %d plausibility rejects, want %d", rejects, len(s.Records())-len(want))
 	}
 }
 
@@ -134,8 +134,8 @@ func TestStatsMatchMetrics(t *testing.T) {
 		b.cell.DeliverUL(b.u, 30000, b.now)
 		b.run(time.Second)
 	}
-	s.ValidatedRecords(3)
-	s.ValidatedRecords(3) // idempotency under the same lens
+	s.AppendValidated(nil, 3)
+	s.AppendValidated(nil, 3) // idempotency under the same lens
 
 	st := s.Stats()
 	snap := reg.Snapshot()
@@ -184,7 +184,7 @@ func TestDrainValidatedMatchesBatch(t *testing.T) {
 	drained = streamed.DrainValidated(drained, minCount)
 	flushRejects := streamed.FlushRejected()
 
-	want := batch.ValidatedRecords(minCount)
+	want := batch.AppendValidated(nil, minCount)
 	if len(drained) != len(want) {
 		t.Fatalf("drained %d records, batch validated %d", len(drained), len(want))
 	}

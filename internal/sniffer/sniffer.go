@@ -92,8 +92,8 @@ type Stats struct {
 	// failed DCI validation.
 	ParseRejects int64
 	// PlausibilityRejects is the number of captured records the last
-	// validation pass (AppendValidated / ValidatedRecords, or the streaming
-	// DrainValidated + FlushRejected sequence) discarded for an
+	// validation pass (AppendValidated, or the DrainValidated +
+	// FlushRejected sequence every capture runs) discarded for an
 	// implausible RNTI. Unlike the funnel counters above it is a property
 	// of the validated view, not of capture: re-validating the same records
 	// reports the same value instead of accumulating.
@@ -109,16 +109,11 @@ type Sniffer struct {
 	ids     []IdentityEvent
 	pagings []PagingEvent
 
-	// activity holds one Activity per RNTI seen, and seen the RNTIs
-	// themselves, both in first-sighting order (activity[i] is seen[i]'s).
-	// slot is a dense RNTI-indexed table (the RNTI space is 16-bit) of
-	// 1-based indices into activity, 0 for an RNTI never seen: the
-	// per-record bookkeeping of the blind-decode loop touches one slot
-	// without hashing, and the Activity storage grows with the RNTIs a
-	// capture sees rather than with the whole RNTI space.
-	slot     *[1 << 16]int32
-	activity []Activity
-	seen     []rnti.RNTI
+	// counts is the OWL-style activity table the plausibility filter
+	// reads: how many captured records carry each RNTI, indexed densely
+	// by RNTI (the RNTI space is 16-bit), so the per-record bookkeeping of
+	// the blind-decode loop is one increment without hashing.
+	counts *[1 << 16]int32
 
 	stats Stats
 	m     snifferMetrics
@@ -162,21 +157,14 @@ func newSnifferMetrics(sc obs.Scope) snifferMetrics {
 	}
 }
 
-// Activity summarises how often and when an RNTI was seen — the OWL-style
-// table used to filter decode artefacts from real users.
-type Activity struct {
-	First, Last time.Duration
-	Count       int
-}
-
 // New returns a sniffer with the given capture configuration, using rng
 // for its loss and corruption draws.
 func New(cfg Config, rng *sim.RNG) *Sniffer {
 	return &Sniffer{
-		cfg:  cfg,
-		rng:  rng,
-		slot: new([1 << 16]int32),
-		m:    newSnifferMetrics(cfg.Metrics),
+		cfg:    cfg,
+		rng:    rng,
+		counts: new([1 << 16]int32),
+		m:      newSnifferMetrics(cfg.Metrics),
 	}
 }
 
@@ -244,16 +232,7 @@ func (s *Sniffer) Observe(cellID int, sf *phy.Subframe) {
 			Dir:    dir,
 			Bytes:  bytes,
 		})
-		i := s.slot[r]
-		if i == 0 {
-			s.activity = append(s.activity, Activity{First: at})
-			s.seen = append(s.seen, r)
-			i = int32(len(s.activity))
-			s.slot[r] = i
-		}
-		a := &s.activity[i-1]
-		a.Last = at
-		a.Count++
+		s.counts[r]++
 	}
 }
 
@@ -316,29 +295,19 @@ func (s *Sniffer) corrupt(payload []byte) []byte {
 	return out
 }
 
-// count returns how many records r has been seen in, 0 if never.
-func (s *Sniffer) count(r rnti.RNTI) int {
-	if i := s.slot[r]; i != 0 {
-		return s.activity[i-1].Count
-	}
-	return 0
-}
+// count returns how many captured records carry r, 0 if none.
+func (s *Sniffer) count(r rnti.RNTI) int { return int(s.counts[r]) }
 
 // Records returns everything captured so far, time-ordered.
 func (s *Sniffer) Records() trace.Trace { return s.records }
 
-// ValidatedRecords returns captured records whose RNTI was seen at least
-// minCount times — the plausibility filter that removes ghost RNTIs
-// produced by corrupted decodes.
-func (s *Sniffer) ValidatedRecords(minCount int) trace.Trace {
-	return s.AppendValidated(make(trace.Trace, 0, len(s.records)), minCount)
-}
-
-// AppendValidated appends the validated records to dst and returns it,
-// letting the capture assembly collect all sniffers into one
-// run-owned slice. Each call re-derives the reject count from scratch and
-// publishes it through setPlausibilityRejects, so validating twice reports
-// the current truth instead of double-counting.
+// AppendValidated appends to dst the captured records whose RNTI appears
+// in at least minCount records — the plausibility filter that removes ghost
+// RNTIs produced by corrupted decodes — and returns it. It is the
+// whole-capture form of the DrainValidated + FlushRejected sequence. Each
+// call re-derives the reject count from scratch and publishes it through
+// setPlausibilityRejects, so validating twice reports the current truth
+// instead of double-counting.
 func (s *Sniffer) AppendValidated(dst trace.Trace, minCount int) trace.Trace {
 	var rejects int64
 	for _, r := range s.records {
@@ -370,9 +339,12 @@ func (s *Sniffer) setPlausibilityRejects(n int64) {
 // A held-back record is released by the drain that first sees its RNTI
 // reach minCount sightings (immediately before that RNTI's newest record,
 // preserving per-RNTI time order); records of RNTIs that never validate
-// surface only through FlushRejected. Use either the batch accessors or
-// the drain sequence on one sniffer, not both: draining consumes records.
+// surface only through FlushRejected. Use either AppendValidated or the
+// drain sequence on one sniffer, not both: draining consumes records.
+// dst grows once up front by every undrained record, so a drain of a whole
+// capture into an empty dst allocates its result once.
 func (s *Sniffer) DrainValidated(dst trace.Trace, minCount int) trace.Trace {
+	dst = slices.Grow(dst, len(s.records)-s.drained)
 	if s.pending == nil {
 		s.pending = make(map[rnti.RNTI][]int32)
 	}
@@ -414,24 +386,5 @@ func (s *Sniffer) IdentityEvents() []IdentityEvent { return s.ids }
 // PagingEvents returns the observed paging records.
 func (s *Sniffer) PagingEvents() []PagingEvent { return s.pagings }
 
-// ActiveRNTIs returns the RNTIs seen within the window ending at now,
-// mirroring OWL's live user list.
-func (s *Sniffer) ActiveRNTIs(now, window time.Duration) []rnti.RNTI {
-	var out []rnti.RNTI
-	for i, r := range s.seen {
-		if now-s.activity[i].Last <= window {
-			out = append(out, r)
-		}
-	}
-	sortRNTIs(out)
-	return out
-}
-
 // Stats reports the capture-health counters accumulated so far.
 func (s *Sniffer) Stats() Stats { return s.stats }
-
-func sortRNTIs(rs []rnti.RNTI) {
-	// A busy cell tracks hundreds of live RNTIs; the former insertion sort
-	// made every ActiveRNTIs scan quadratic.
-	slices.Sort(rs)
-}

@@ -8,7 +8,6 @@ import (
 	"ltefp/internal/lte/enb"
 	"ltefp/internal/lte/epc"
 	"ltefp/internal/lte/operator"
-	"ltefp/internal/lte/rnti"
 	"ltefp/internal/lte/ue"
 	"ltefp/internal/sim"
 	"ltefp/internal/sniffer"
@@ -139,7 +138,7 @@ func TestPlausibilityFilterRemovesGhosts(t *testing.T) {
 	b.cell.DeliverDL(b.u, 200000, b.now)
 	b.run(2 * time.Second)
 
-	validated := s.ValidatedRecords(3)
+	validated := s.AppendValidated(nil, 3)
 	ghosts := 0
 	for _, r := range validated {
 		if r.RNTI != b.u.RNTI {
@@ -208,19 +207,4 @@ func TestPagingEvents(t *testing.T) {
 	if pages[0].TMSI != uint32(b.u.TMSI) {
 		t.Fatalf("paging TMSI %08x, want %08x", pages[0].TMSI, uint32(b.u.TMSI))
 	}
-}
-
-func TestActiveRNTIs(t *testing.T) {
-	s := sniffer.New(sniffer.Config{}, sim.NewRNG(9))
-	b := newBench(t, s)
-	b.cell.DeliverDL(b.u, 5000, b.now)
-	b.run(time.Second)
-	active := s.ActiveRNTIs(b.now, 2*time.Second)
-	if len(active) != 1 || active[0] != b.u.RNTI {
-		t.Fatalf("ActiveRNTIs = %v, want [%v]", active, b.u.RNTI)
-	}
-	if got := s.ActiveRNTIs(b.now+time.Minute, time.Second); len(got) != 0 {
-		t.Fatalf("stale window returned %v", got)
-	}
-	_ = rnti.RNTI(0)
 }

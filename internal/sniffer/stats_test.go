@@ -58,7 +58,7 @@ func TestNoCorruptionMeansNoRejects(t *testing.T) {
 	b := newBench(t, s)
 	b.cell.DeliverDL(b.u, 100000, b.now)
 	b.run(3 * time.Second)
-	validated := s.ValidatedRecords(3)
+	validated := s.AppendValidated(nil, 3)
 	if len(validated) == 0 {
 		t.Fatal("capture produced no validated records")
 	}

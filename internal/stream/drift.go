@@ -35,13 +35,6 @@ type voteRing struct {
 	fill   int
 }
 
-func newVoteRing(horizon, apps int) *voteRing {
-	return &voteRing{
-		slots:  make([]int16, horizon),
-		counts: make([]int32, apps),
-	}
-}
-
 // ringSlab carves userVote entries and their ring storage out of block
 // allocations: one userVote array plus one slots and one counts backing
 // array per ringSlabUsers new users, instead of four heap objects per

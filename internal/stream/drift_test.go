@@ -6,6 +6,15 @@ import (
 	"ltefp/internal/appmodel"
 )
 
+// newVoteRing builds one standalone ring; the pipeline carves its rings
+// out of a ringSlab instead.
+func newVoteRing(horizon, apps int) *voteRing {
+	return &voteRing{
+		slots:  make([]int16, horizon),
+		counts: make([]int32, apps),
+	}
+}
+
 // TestVoteRingMajority exercises fill, eviction, and running counts.
 func TestVoteRingMajority(t *testing.T) {
 	v := newVoteRing(4, 3)

@@ -22,6 +22,10 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go vet ./..."
 go vet ./...
+# The e2e tests and their subprocess harness build only under the e2e
+# tag, which plain go vet ./... does not set.
+echo "== go vet -tags e2e ./e2e"
+go vet -tags e2e ./e2e
 echo "== go build ./..."
 go build ./...
 # The streaming pipeline is the most concurrency-dense package in the
