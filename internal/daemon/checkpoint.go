@@ -48,8 +48,9 @@ func (d *Daemon) encodeMeta(cr *captureRun) []byte {
 }
 
 // encodeFinals serialises the verdict summary at the checkpoint cut.
-// OnCheckpoint fires on the verdict stage after every pre-barrier verdict
-// and before any post-barrier one, so the maps are a consistent cut.
+// OnCheckpoint fires on the goroutine that raises verdicts, after every
+// verdict before the cut and before any after it, so the maps are a
+// consistent cut.
 func (cr *captureRun) encodeFinals() []byte {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()

@@ -5,8 +5,9 @@
 // versioned snapshot files.
 //
 // A capture fails in one way: a pipeline run returns an error, either
-// from setting up the capture or from a stage panic that the stream
-// package turns into an error (stream.Config.RecoverPanics). The
+// from setting up the capture or from a panic in the source or the
+// pipeline that the stream package turns into an error
+// (stream.Config.RecoverPanics). The
 // supervisor then restarts the capture from its last checkpoint after a
 // jittered exponential backoff, up to Config.MaxRestarts times, and marks
 // it failed (and /healthz degraded) when the budget is spent.

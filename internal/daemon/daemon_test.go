@@ -185,9 +185,10 @@ func TestDaemonCheckpointRestartConvergence(t *testing.T) {
 	}
 
 	// Interrupted run: cancel as soon as every capture has checkpointed.
-	// The daemon writes verdict lines synchronously from each capture's
-	// verdict stage, so the writer interrupts at a point fixed by the
-	// pipeline itself, not by a wall-clock race with the run.
+	// The daemon writes verdict lines synchronously from the goroutine
+	// that runs each capture's pipeline, so the writer interrupts at a
+	// point fixed by the pipeline itself, not by a wall-clock race with
+	// the run.
 	dir := t.TempDir()
 	var cutOut bytes.Buffer
 	ctx, cancel := context.WithCancel(context.Background())
@@ -205,8 +206,8 @@ func TestDaemonCheckpointRestartConvergence(t *testing.T) {
 	if !interrupt.fired {
 		t.Fatal("interrupted run finished before every capture had checkpointed; the interrupt never fired")
 	}
-	// Cancellation stops only the source stage; the rest of the pipeline
-	// drains what the source already queued, checkpoint barriers included,
+	// Cancellation stops only the source; the pipeline still processes
+	// what the source already queued, cutting any checkpoints it crosses,
 	// and the source may have reached the scenario's end by then. Put back
 	// the checkpoints as they stood at the interrupt: the disk state a
 	// crash at that point leaves behind.
@@ -271,8 +272,8 @@ func TestDaemonCheckpointRestartConvergence(t *testing.T) {
 
 // interruptAtCheckpoint forwards verdict lines to w. On each capture's
 // first verdict line after that capture has checkpointed, it keeps a copy
-// of the checkpoint file; the capture's verdict stage is blocked in Write
-// meanwhile, so the copy is exactly the checkpoint the stage last wrote.
+// of the checkpoint file; the capture's pipeline is blocked in Write
+// meanwhile, so the copy is exactly the checkpoint it last wrote.
 // Once every spec has a copy it cancels the run. The daemon serialises
 // Write calls under its output lock, and Run returns only after every
 // capture has stopped, so the fields need no lock of their own.

@@ -10,7 +10,7 @@ import (
 	"ltefp/internal/stream"
 )
 
-// TestPredictBatchIntoSteadyStateAllocs pins the classify stage's hot
+// TestPredictBatchIntoSteadyStateAllocs pins the classify step's hot
 // path: once the scratch is warm, batched hierarchy prediction must not
 // allocate at all. The batch is capped at one forest chunk (256 rows) so
 // the serial walk runs regardless of GOMAXPROCS — the parallel path spawns
@@ -40,11 +40,12 @@ func TestPredictBatchIntoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRunAllocBound guards the whole pipeline's allocation budget: record
-// slices, row bundles, and vote rings are recycled, so a Run's allocations
-// are dominated by fixed per-run setup plus a small per-user cost — NOT by
-// per-batch churn. The bound (12 allocations per source batch, ~3x the
-// measured steady state) would be blown an order of magnitude by any
-// regression back to allocate-per-batch behaviour, which cost ~40/batch.
+// slices are recycled, the row bundle is reused, and vote rings come from
+// slabs, so a Run's allocations are dominated by fixed per-run setup plus
+// a small per-user cost — NOT by per-batch churn. The bound (12
+// allocations per source batch, ~3x the measured steady state) would be
+// blown an order of magnitude by any regression back to
+// allocate-per-batch behaviour, which cost ~40/batch.
 func TestRunAllocBound(t *testing.T) {
 	clf := classifier(t)
 	cap1, err := capture.Run(twoUserScenario(t, 3))

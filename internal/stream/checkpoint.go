@@ -12,22 +12,22 @@ import (
 	"ltefp/internal/trace"
 )
 
-// Checkpoint is the pipeline's complete restorable state at one aligned
-// barrier: the simulated time reached, the cumulative stats, every
-// per-user incremental window extractor, and every per-user vote ring
-// with its drift-monitor latch. A pipeline restored from a checkpoint and
-// fed the same post-checkpoint records produces verdicts byte-identical
-// to one that was never interrupted — the property the daemon's
-// kill-and-restart e2e test pins.
+// Checkpoint is the pipeline's complete restorable state at one cut
+// between source slices: the simulated time reached, the cumulative
+// stats, every per-user incremental window extractor, and every per-user
+// vote ring with its drift-monitor latch. A pipeline restored from a
+// checkpoint and fed the same post-checkpoint records produces verdicts
+// byte-identical to one that was never interrupted — the property the
+// daemon's kill-and-restart e2e test pins.
 //
 // A Checkpoint is plain data (private to its creator): safe to retain,
 // encode, and restore from after the emitting pipeline has moved on.
 type Checkpoint struct {
-	// Now is the simulated time of the barrier: every record with At < Now
+	// Now is the simulated time of the cut: every record with At < Now
 	// has been assembled, every window ending at or before Now has been
 	// classified and voted.
 	Now time.Duration
-	// Stats is the cumulative pipeline stats at the barrier.
+	// Stats is the cumulative pipeline stats at the cut.
 	Stats Stats
 	// Users holds each tracked user's incremental extractor state, sorted
 	// by key.
@@ -36,13 +36,13 @@ type Checkpoint struct {
 	Votes []VoteState
 }
 
-// UserState is one user's assemble-stage state.
+// UserState is one user's window-assembly state.
 type UserState struct {
 	Key Key
 	Inc features.IncrementalState
 }
 
-// VoteState is one user's verdict-stage state: the raw vote ring (slots,
+// VoteState is one user's vote state: the raw vote ring (slots,
 // write position, fill) plus the drift monitor's latch.
 type VoteState struct {
 	Key          Key
@@ -330,27 +330,18 @@ func (c *Checkpoint) decodeDrift(b []byte) error {
 
 // --- pipeline integration ---
 
-// captureUsers snapshots the assemble stage's per-user extractors into the
-// barrier's checkpoint, in sorted key order, along with the stage's stats.
-func (p *pipeline) captureUsers(c *Checkpoint) {
+// checkpoint cuts a checkpoint at now, once every batch the source
+// delivered up to now has been assembled, classified and voted, and hands
+// it to OnCheckpoint. Users and votes are captured in sorted key order.
+func (p *pipeline) checkpoint(now time.Duration) {
+	t := p.ckptMS.Start()
+	p.settleStats()
+	c := &Checkpoint{Now: now, Stats: p.st}
+	c.Stats.End = now
 	c.Users = make([]UserState, 0, len(p.order))
 	for _, k := range p.order {
 		c.Users = append(c.Users, UserState{Key: k, Inc: p.users[k].State()})
 	}
-	c.Stats.Rows = p.st.Rows
-	c.Stats.ShedRows = p.st.ShedRows
-	c.Stats.Users = len(p.users)
-	var ooo int64
-	for _, inc := range p.users {
-		ooo += inc.OutOfOrder
-	}
-	c.Stats.OutOfOrder = ooo
-}
-
-// captureVotes snapshots the verdict stage's vote rings and drift latches,
-// in sorted key order, along with the stage's stats, completing the
-// checkpoint.
-func (p *pipeline) captureVotes(c *Checkpoint) {
 	keys := make([]Key, 0, len(p.votes))
 	for k := range p.votes {
 		keys = append(keys, k)
@@ -367,16 +358,33 @@ func (p *pipeline) captureVotes(c *Checkpoint) {
 			DriftLatched: u.drift.latched,
 		})
 	}
-	c.Stats.Verdicts = p.st.Verdicts
-	c.Stats.RetrainSignals = p.st.RetrainSignals
+	if p.cfg.OnCheckpoint != nil {
+		p.cfg.OnCheckpoint(c)
+	}
+	t.Stop()
+	p.ckptC.Inc()
+}
+
+// settleStats brings the stats the extractors keep up to date: the users
+// tracked and the records they rejected as out of order.
+func (p *pipeline) settleStats() {
+	p.st.Users = len(p.users)
+	var ooo int64
+	for _, inc := range p.users {
+		ooo += inc.OutOfOrder
+	}
+	if delta := ooo - p.st.OutOfOrder; delta > 0 {
+		p.outOfObs.Add(delta)
+	}
+	p.st.OutOfOrder = ooo
 }
 
 // maxCheckpointTime bounds a restored checkpoint's simulated time (about
 // 146 years), leaving the window arithmetic after it room not to overflow.
 const maxCheckpointTime = time.Duration(1 << 62)
 
-// restore primes a fresh pipeline with checkpointed state before its
-// stages start. It validates the checkpoint against the pipeline: window
+// restore primes a fresh pipeline with checkpointed state before it
+// starts. It validates the checkpoint against the pipeline: window
 // geometry must match the classifier's and the vote horizon the
 // configuration's, because restored state under different parameters
 // would be silently wrong.
@@ -393,7 +401,7 @@ func (p *pipeline) restore(c *Checkpoint) error {
 				u.Inc.Width, u.Inc.Stride, p.window, p.stride)
 		}
 		// Simulated time starts at zero, every record assembled before the
-		// barrier is at or before Now, and no window opens more than a
+		// cut is at or before Now, and no window opens more than a
 		// stride past the newest source time. Outside those bounds the
 		// first AdvanceTo or Flush would walk an unbounded run of windows.
 		if u.Inc.Started && (u.Inc.Next < 0 || u.Inc.LastAt > c.Now || u.Inc.Next-c.Now >= p.stride) {
@@ -420,10 +428,7 @@ func (p *pipeline) restore(c *Checkpoint) error {
 			return fmt.Errorf("stream: checkpoint votes out of order at %v", v.Key)
 		}
 		u := p.slab.get()
-		u.drift = driftMonitor{
-			threshold: p.cfg.DriftThreshold,
-			latched:   v.DriftLatched,
-		}
+		u.drift.latched = v.DriftLatched
 		copy(u.ring.slots, v.Slots)
 		u.ring.pos = v.Pos
 		u.ring.fill = v.Fill

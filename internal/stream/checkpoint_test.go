@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			t.Errorf("checkpoint %d: final stats diverged:\n  got  %+v\n  want %+v", i, gotStats, refStats)
 		}
 		// The resumed pipeline's own checkpoints must be byte-identical to
-		// the reference run's at the same barriers.
+		// the reference run's at the same cuts.
 		wantCkpts := refCkpts[i+1:]
 		if len(gotCkpts) != len(wantCkpts) {
 			t.Fatalf("checkpoint %d: resumed run cut %d checkpoints, want %d", i, len(gotCkpts), len(wantCkpts))
@@ -374,49 +375,73 @@ func TestRestoreRejectsImpossibleExtractorState(t *testing.T) {
 	}
 }
 
-// TestRecoverPanics pins stage resilience: a panicking callback in any
-// stage aborts the pipeline cleanly — Run returns the panic as an error
-// naming the stage, in-flight work is drained, and nothing deadlocks.
+// TestRecoverPanics pins pipeline resilience: a panic in the source or in
+// a callback on the consumer side aborts the pipeline cleanly — Run
+// returns the panic as an error naming the side that panicked, nothing
+// deadlocks, and no goroutine outlives Run.
 func TestRecoverPanics(t *testing.T) {
 	clf := classifier(t)
 	res, err := capture.Run(twoUserScenario(t, 37))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	t.Run("assemble", func(t *testing.T) {
-		n := 0
-		cfg := stream.Config{
-			Classifier:    clf,
-			RecoverPanics: true,
-			TapWindow: func(stream.Key, time.Duration, []float64) {
+	for _, tc := range []struct {
+		name string
+		src  func() stream.Source
+		cfg  func(*stream.Config)
+		want string
+	}{
+		{name: "assemble", want: "pipeline panicked", cfg: func(c *stream.Config) {
+			n := 0
+			c.TapWindow = func(stream.Key, time.Duration, []float64) {
 				n++
 				if n == 10 {
 					panic("injected assemble fault")
 				}
-			},
-		}
-		_, err := stream.Run(context.Background(), &stream.ReplaySource{Trace: res.Records}, cfg)
-		if err == nil || !strings.Contains(err.Error(), "assemble stage panicked") {
-			t.Fatalf("err = %v, want assemble stage panic", err)
-		}
-	})
-
-	t.Run("verdict", func(t *testing.T) {
-		n := 0
-		cfg := stream.Config{
-			Classifier:    clf,
-			RecoverPanics: true,
-			OnVerdict: func(stream.Verdict) {
+			}
+		}},
+		{name: "verdict", want: "pipeline panicked", cfg: func(c *stream.Config) {
+			n := 0
+			c.OnVerdict = func(stream.Verdict) {
 				n++
 				if n == 5 {
 					panic("injected verdict fault")
 				}
-			},
-		}
-		_, err := stream.Run(context.Background(), &stream.ReplaySource{Trace: res.Records}, cfg)
-		if err == nil || !strings.Contains(err.Error(), "verdict stage panicked") {
-			t.Fatalf("err = %v, want verdict stage panic", err)
-		}
-	})
+			}
+		}},
+		{name: "source", want: "source panicked", src: func() stream.Source {
+			return &panickingSource{Source: &stream.ReplaySource{Trace: res.Records}, after: 20}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := stream.Config{Classifier: clf, RecoverPanics: true}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			var src stream.Source = &stream.ReplaySource{Trace: res.Records}
+			if tc.src != nil {
+				src = tc.src()
+			}
+			_, err := stream.Run(context.Background(), src, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %s", err, tc.want)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// panickingSource panics in the Next call after `after` slices.
+type panickingSource struct {
+	stream.Source
+	after, calls int
+}
+
+func (s *panickingSource) Next(dst trace.Trace) (trace.Trace, time.Duration, bool) {
+	s.calls++
+	if s.calls > s.after {
+		panic("injected source fault")
+	}
+	return s.Source.Next(dst)
 }

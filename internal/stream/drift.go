@@ -105,8 +105,7 @@ func (v *voteRing) majority() (app int, confidence float64) {
 // It fires once per excursion — re-arming only after confidence recovers
 // — so a struggling user does not flood the retrain queue.
 type driftMonitor struct {
-	threshold float64
-	latched   bool
+	latched bool
 }
 
 // observe feeds one confidence reading; it returns true when the retrain
@@ -115,7 +114,7 @@ func (d *driftMonitor) observe(confidence float64, windows int) bool {
 	if windows < driftMinWindows {
 		return false
 	}
-	if confidence >= d.threshold {
+	if confidence >= driftThreshold {
 		d.latched = false
 		return false
 	}

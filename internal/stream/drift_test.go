@@ -64,7 +64,7 @@ func TestVoteRingTieBreak(t *testing.T) {
 // recovery.
 func TestDriftMonitorLatch(t *testing.T) {
 	const n = driftMinWindows
-	d := driftMonitor{threshold: 0.70}
+	var d driftMonitor
 	if d.observe(0.10, n-1) {
 		t.Fatal("fired below driftMinWindows")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"ltefp/internal/attack/fingerprint"
@@ -16,55 +15,41 @@ import (
 // recBatch is one source slice: the records drained plus the simulated
 // time reached (all records with At < now are delivered, so the assembler
 // may close windows ending at or before now). The record slice is owned by
-// the batch and returned to the source's freelist once assembled. A batch
-// with ckpt set is a checkpoint barrier: it carries no records and flows
-// the partially-built checkpoint through every stage, each stage adding
-// its own state as the barrier passes.
+// the batch and returned to the producer's freelist once assembled.
 type recBatch struct {
 	recs trace.Trace
 	now  time.Duration
-	ckpt *Checkpoint
 }
 
-// rowBatch is the pipeline's recyclable work bundle. The assembler fills
-// keys/starts/rows, the classifier writes apps, and the verdict stage —
-// the last reader — returns the whole bundle to the freelist. rows point
-// into the bundle's own flat arena, whose capacity is fixed at
-// maxBatch×TotalDim up front so appends can never move rows already
-// recorded; that fixed ownership is what lets the bundle be reused instead
-// of abandoned to the GC after every batch.
+// rowBatch is the consumer's one reused row bundle. The assembler fills
+// keys/starts/rows, the classifier writes apps, and the bundle is emptied
+// once its verdicts are voted. rows point into the bundle's own flat
+// arena, whose capacity is fixed at maxBatch×TotalDim up front so appends
+// can never move rows already recorded.
 type rowBatch struct {
 	keys   []Key
 	starts []time.Duration
 	rows   [][]float64
 	flat   []float64
 	apps   []string
-	// ckpt marks a checkpoint barrier travelling the row path (the batch
-	// then carries no rows). Cleared when the bundle is recycled.
-	ckpt *Checkpoint
 }
 
 // stageMetrics is one stage's obs handles; all nil (no-op) when disabled.
 type stageMetrics struct {
-	batches *obs.Counter
-	items   *obs.Counter
-	shed    *obs.Counter
-	depth   *obs.Gauge
-	ms      *obs.Histogram
+	items *obs.Counter
+	ms    *obs.Histogram
 }
 
-func newStageMetrics(sc obs.Scope, items, shed string) stageMetrics {
+func newStageMetrics(sc obs.Scope, items string) stageMetrics {
 	return stageMetrics{
-		batches: sc.Counter("batches"),
-		items:   sc.Counter(items),
-		shed:    sc.Counter(shed),
-		depth:   sc.Gauge("queue_depth"),
-		ms:      sc.Histogram("stage_ms", obs.LatencyBuckets()),
+		items: sc.Counter(items),
+		ms:    sc.Histogram("stage_ms", obs.LatencyBuckets()),
 	}
 }
 
-// pipeline carries one Run's state. Each stats field is written by exactly
-// one stage goroutine and read only after the WaitGroup settles.
+// pipeline carries one Run's state. The producer goroutine owns src,
+// recFree's receiving end and end; everything else belongs to the consumer,
+// the caller's goroutine. Run reads end only after the producer has exited.
 type pipeline struct {
 	cfg   Config
 	table *appTable
@@ -82,62 +67,45 @@ type pipeline struct {
 	ckptMS    *obs.Histogram
 	panicC    *obs.Counter
 
-	// Freelists recycle buffers against the flow of data: record slices
-	// return assemble→source, row bundles verdict→assemble. Both are
-	// buffered deep enough for every in-flight batch, so steady state the
-	// per-batch path allocates nothing; non-blocking puts mean a full
-	// freelist just drops the buffer rather than stalling a stage.
+	// recFree recycles record slices from the consumer back to the
+	// producer. It holds every slice that can be in flight, so steady state
+	// the source path allocates nothing; a put to a full freelist drops
+	// the slice rather than block.
 	recFree chan trace.Trace
-	rowFree chan *rowBatch
+	// end is the simulated time the source reached (producer state).
+	end time.Duration
 
-	// assemble-stage state
+	// Assembly state.
 	users  map[Key]*features.Incremental
 	order  []Key // sorted, for deterministic advance/flush iteration
 	curKey Key
-	cur    *rowBatch
+	emit   func(start time.Duration, row []float64)
+	batch  rowBatch
 
-	// classify-stage scratch, reused across every batch.
+	// clfScratch is the classifier's scratch, reused across every batch.
 	clfScratch fingerprint.BatchScratch
 
-	// verdict-stage state. Held on the pipeline (instead of stage-local)
-	// so restore can prime it before the stages start and the checkpoint
-	// barrier can read it as it passes through.
+	// Vote state, held on the pipeline so restore can prime it and a
+	// checkpoint can read it.
 	votes map[Key]*userVote
 	slab  ringSlab
 
-	// nextCkpt is the next simulated-time checkpoint boundary
-	// (source-stage state, meaningful only when CheckpointEvery > 0).
+	// nextCkpt is the next simulated-time checkpoint boundary (meaningful
+	// only when CheckpointEvery > 0).
 	nextCkpt time.Duration
-
-	// panicErr records the first recovered stage panic.
-	panicMu  sync.Mutex
-	panicErr error
 
 	st Stats
 }
 
-// fail records the first recovered stage panic.
-func (p *pipeline) fail(err error) {
-	p.panicMu.Lock()
-	if p.panicErr == nil {
-		p.panicErr = err
-	}
-	p.panicMu.Unlock()
-}
-
-// failure returns the first recovered stage panic, nil if none.
-func (p *pipeline) failure() error {
-	p.panicMu.Lock()
-	defer p.panicMu.Unlock()
-	return p.panicErr
-}
-
 // Run executes the pipeline over the source until the source is exhausted
-// or ctx is cancelled. On cancellation the stages drain their in-flight
-// work before returning, and Run reports ctx's error alongside the stats
-// gathered so far. With RecoverPanics set, a panicking stage aborts the
-// pipeline cleanly instead of crashing the process: the remaining stages
-// drain, and Run returns the panic as an error.
+// or ctx is cancelled. A producer goroutine pulls the source and hands its
+// slices over one bounded channel; the caller's goroutine assembles,
+// classifies and votes them. On cancellation the producer stops, the
+// slices already queued are processed before Run returns, and Run reports
+// ctx's error alongside the stats gathered so far. With RecoverPanics set,
+// a panic on either side aborts the pipeline cleanly instead of crashing
+// the process: Run waits for the producer and returns the panic as an
+// error.
 func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 	if cfg.Classifier == nil {
 		return nil, fmt.Errorf("stream: Config.Classifier is required")
@@ -147,10 +115,10 @@ func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 	p := &pipeline{
 		cfg:       cfg,
 		table:     newAppTable(),
-		mSource:   newStageMetrics(sc.Scope("source"), "records", "shed_records"),
-		mAssemble: newStageMetrics(sc.Scope("assemble"), "rows", "shed_rows"),
-		mClassify: newStageMetrics(sc.Scope("classify"), "predictions", "shed_predictions"),
-		mVerdict:  newStageMetrics(sc.Scope("verdict"), "verdicts", "shed_verdicts"),
+		mSource:   newStageMetrics(sc.Scope("source"), "records"),
+		mAssemble: newStageMetrics(sc.Scope("assemble"), "rows"),
+		mClassify: newStageMetrics(sc.Scope("classify"), "predictions"),
+		mVerdict:  newStageMetrics(sc.Scope("verdict"), "verdicts"),
 		activeKey: sc.Scope("assemble").Gauge("active_keys"),
 		outOfObs:  sc.Scope("assemble").Counter("out_of_order"),
 		retrainC:  sc.Scope("verdict").Counter("retrain_signals"),
@@ -160,8 +128,15 @@ func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 		users:     make(map[Key]*features.Incremental),
 		votes:     make(map[Key]*userVote),
 		recFree:   make(chan trace.Trace, queueDepth+2),
-		rowFree:   make(chan *rowBatch, 2*queueDepth+4),
+		batch: rowBatch{
+			keys:   make([]Key, 0, maxBatch),
+			starts: make([]time.Duration, 0, maxBatch),
+			rows:   make([][]float64, 0, maxBatch),
+			flat:   make([]float64, 0, maxBatch*features.TotalDim),
+			apps:   make([]string, 0, maxBatch),
+		},
 	}
+	p.emit = p.emitRow
 	p.window, p.stride = geometry(cfg.Classifier)
 	p.slab = ringSlab{horizon: cfg.VoteHorizon, apps: len(p.table.names)}
 	if cfg.CheckpointEvery > 0 {
@@ -175,80 +150,57 @@ func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 			p.nextCkpt = cfg.Restore.Now - cfg.Restore.Now%cfg.CheckpointEvery + cfg.CheckpointEvery
 		}
 	}
+	p.end = p.st.End
 
-	// A recovered stage panic cancels this internal context so the source
-	// stops producing; the caller's ctx error is still reported from the
-	// parent, never the internal cancel.
+	// A consumer panic cancels this internal context so the producer stops;
+	// the caller's ctx error is still reported from the parent, never the
+	// internal cancel.
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// The producer closes recCh as it exits, after recording any panic of
+	// its own, so once the consumer has seen the close srcErr is settled.
 	recCh := make(chan recBatch, queueDepth)
-	rowCh := make(chan *rowBatch, queueDepth)
-	predCh := make(chan *rowBatch, queueDepth)
-
-	// guard wraps one stage goroutine: with RecoverPanics, a panic is
-	// recorded, the source is cancelled, and the stage's abandoned input
-	// is drained so upstream senders can finish — the pipeline winds down
-	// instead of deadlocking (the stage's own deferred close has already
-	// released its downstream).
-	guard := func(stage string, drain func(), fn func()) {
-		defer func() {
-			if !cfg.RecoverPanics {
-				return
-			}
-			if r := recover(); r != nil {
-				p.fail(fmt.Errorf("stream: %s stage panicked: %v", stage, r))
-				p.panicC.Inc()
-				cancel()
-				if drain != nil {
-					drain()
-				}
-			}
-		}()
-		fn()
-	}
-	drainRecs := func() {
-		for b := range recCh {
-			p.putRecs(b.recs)
-		}
-	}
-	drainRows := func(ch chan *rowBatch) func() {
-		return func() {
-			for b := range ch {
-				p.putBatch(b)
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(4)
-	go func() { defer wg.Done(); guard("source", nil, func() { p.sourceStage(ctx, src, recCh) }) }()
-	go func() { defer wg.Done(); guard("assemble", drainRecs, func() { p.assembleStage(recCh, rowCh) }) }()
+	var srcErr error
 	go func() {
-		defer wg.Done()
-		guard("classify", drainRows(rowCh), func() { p.classifyStage(rowCh, predCh) })
+		defer close(recCh)
+		defer p.recoverInto(&srcErr, "source")
+		p.produce(ctx, src, recCh)
 	}()
-	go func() { defer wg.Done(); guard("verdict", drainRows(predCh), func() { p.verdictStage(predCh) }) }()
-	wg.Wait()
+	err := p.consume(recCh)
+	if err != nil {
+		cancel()
+		for range recCh {
+		}
+	}
+	if err == nil {
+		err = srcErr
+	}
 
-	p.st.Users = len(p.users)
-	var ooo int64
-	for _, inc := range p.users {
-		ooo += inc.OutOfOrder
-	}
-	if delta := ooo - p.st.OutOfOrder; delta > 0 {
-		p.outOfObs.Add(delta)
-	}
-	p.st.OutOfOrder = ooo
+	p.st.End = p.end
+	p.settleStats()
 	st := p.st
-	if err := p.failure(); err != nil {
+	if err != nil {
 		return &st, err
 	}
 	return &st, parent.Err()
 }
 
-// putRecs returns a record slice to the source freelist (dropped if full).
+// recoverInto, deferred, turns a panic into *err when RecoverPanics is set
+// (without it the panic crashes the process as usual).
+func (p *pipeline) recoverInto(err *error, side string) {
+	if !p.cfg.RecoverPanics {
+		return
+	}
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("stream: %s panicked: %v", side, r)
+		p.panicC.Inc()
+	}
+}
+
+// putRecs returns a record slice to the producer's freelist (dropped if
+// full).
 func (p *pipeline) putRecs(recs trace.Trace) {
 	if cap(recs) == 0 {
 		return
@@ -259,132 +211,51 @@ func (p *pipeline) putRecs(recs trace.Trace) {
 	}
 }
 
-// putBatch returns a row bundle to the freelist (dropped if full).
-func (p *pipeline) putBatch(b *rowBatch) {
-	select {
-	case p.rowFree <- b:
-	default:
-	}
-}
-
-// getBatch pops a recycled bundle, or builds one with its full capacity —
-// maxBatch rows and a maxBatch×TotalDim arena — so it never grows later.
-func (p *pipeline) getBatch() *rowBatch {
-	select {
-	case b := <-p.rowFree:
-		b.keys = b.keys[:0]
-		b.starts = b.starts[:0]
-		b.rows = b.rows[:0]
-		b.flat = b.flat[:0]
-		b.apps = b.apps[:0]
-		b.ckpt = nil
-		return b
-	default:
-	}
-	return &rowBatch{
-		keys:   make([]Key, 0, maxBatch),
-		starts: make([]time.Duration, 0, maxBatch),
-		rows:   make([][]float64, 0, maxBatch),
-		flat:   make([]float64, 0, maxBatch*features.TotalDim),
-		apps:   make([]string, 0, maxBatch),
-	}
-}
-
-// sourceStage pulls slices until the source is exhausted or the context is
-// cancelled. It is the only stage that watches ctx: downstream stages end
-// by draining their closed input, which guarantees in-flight work is
-// finished, not abandoned.
-func (p *pipeline) sourceStage(ctx context.Context, src Source, out chan<- recBatch) {
-	defer close(out)
-	buf := make(trace.Trace, 0, 1024)
+// produce pulls slices until the source is exhausted or the context is
+// cancelled, each into a recycled record slice the batch then owns. It is
+// the only code that watches ctx: the consumer ends by draining the closed
+// channel, which guarantees queued work is finished, not abandoned.
+func (p *pipeline) produce(ctx context.Context, src Source, out chan<- recBatch) {
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		default:
 		}
+		var recs trace.Trace
+		select {
+		case recs = <-p.recFree:
+		default:
+		}
 		t := p.mSource.ms.Start()
-		next, now, more := src.Next(buf[:0])
-		buf = next
+		recs, now, more := src.Next(recs[:0])
 		t.Stop()
-		p.st.End = now
-		b := recBatch{now: now}
-		if len(buf) > 0 {
-			var recs trace.Trace
-			select {
-			case recs = <-p.recFree:
-			default:
-			}
-			b.recs = append(recs[:0], buf...)
+		p.end = now
+		select {
+		case out <- recBatch{recs: recs, now: now}:
+		case <-ctx.Done():
+			return
 		}
-		p.mSource.batches.Inc()
-		if p.cfg.Shed {
-			select {
-			case out <- b:
-				p.st.Records += int64(len(b.recs))
-				p.mSource.items.Add(int64(len(b.recs)))
-			default:
-				p.st.ShedRecords += int64(len(b.recs))
-				p.mSource.shed.Add(int64(len(b.recs)))
-				p.putRecs(b.recs)
-			}
-		} else {
-			select {
-			case out <- b:
-				p.st.Records += int64(len(b.recs))
-				p.mSource.items.Add(int64(len(b.recs)))
-			case <-ctx.Done():
-				return
-			}
-		}
-		// Checkpoint barriers ride the same queue as data, so each stage
-		// sees the barrier exactly after the last pre-barrier batch. The
-		// barrier send always blocks (even in shed mode): a checkpoint is
-		// a correctness artefact, not a load-shedding candidate, and the
-		// consumers always drain, so the wait is bounded.
-		if p.cfg.CheckpointEvery > 0 && b.now >= p.nextCkpt {
-			c := &Checkpoint{Now: b.now}
-			c.Stats.Records = p.st.Records
-			c.Stats.ShedRecords = p.st.ShedRecords
-			c.Stats.End = b.now
-			select {
-			case out <- recBatch{now: b.now, ckpt: c}:
-			case <-ctx.Done():
-				return
-			}
-			for p.nextCkpt <= b.now {
-				p.nextCkpt += p.cfg.CheckpointEvery
-			}
-		}
-		p.mSource.depth.Set(int64(len(out)))
 		if !more {
 			return
 		}
 	}
 }
 
-// assembleStage routes records to per-user incremental extractors and
-// batches the emitted rows. Users are advanced and flushed in sorted key
-// order so row order — and therefore every downstream artefact — is
-// deterministic for a given record sequence.
-func (p *pipeline) assembleStage(in <-chan recBatch, out chan<- *rowBatch) {
-	defer close(out)
-	p.cur = p.getBatch()
-	emit := p.emitRow(out)
+// consume assembles, classifies and votes every batch the producer sends,
+// cutting a checkpoint after each batch that crosses a boundary, and
+// flushes every user's extractor once the channel closes. Rows are
+// classified when the bundle fills, when the consumer has caught up with
+// the producer, before a checkpoint, and at the end. Users are advanced
+// and flushed in sorted key order so row order — and therefore every
+// verdict and checkpoint — is deterministic for a given record sequence.
+// A checkpoint is a consistent cut because it is built after exactly the
+// batches sent before it have been processed.
+func (p *pipeline) consume(in <-chan recBatch) (err error) {
+	defer p.recoverInto(&err, "pipeline")
 	for b := range in {
-		if b.ckpt != nil {
-			// Flush rows ahead of the barrier so everything assembled from
-			// pre-barrier records reaches the verdict stage first, then
-			// attach this stage's state and forward (always blocking — see
-			// sourceStage).
-			p.flushRows(out)
-			p.captureUsers(b.ckpt)
-			bb := p.getBatch()
-			bb.ckpt = b.ckpt
-			out <- bb
-			p.mAssemble.depth.Set(int64(len(out)))
-			continue
-		}
+		p.st.Records += int64(len(b.recs))
+		p.mSource.items.Add(int64(len(b.recs)))
 		t := p.mAssemble.ms.Start()
 		for _, r := range b.recs {
 			k := Key{CellID: r.CellID, RNTI: r.RNTI}
@@ -399,23 +270,38 @@ func (p *pipeline) assembleStage(in <-chan recBatch, out chan<- *rowBatch) {
 				p.activeKey.Set(int64(len(p.order)))
 			}
 			p.curKey = k
-			inc.Push(r, emit)
+			inc.Push(r, p.emit)
 		}
 		// The source guarantees all records with At < b.now are delivered:
 		// close every window ending by then, idle users included.
 		for _, k := range p.order {
 			p.curKey = k
-			p.users[k].AdvanceTo(b.now, emit)
+			p.users[k].AdvanceTo(b.now, p.emit)
 		}
 		t.Stop()
 		p.putRecs(b.recs)
-		p.flushRows(out)
+		// While more slices are queued, rows wait for them: the forest
+		// walks each tree once per lane of rows, so one call over the
+		// backlog costs far less than one call per slice, and batch
+		// composition cannot change a prediction or the vote order. A
+		// checkpoint needs every row before the cut voted.
+		ckpt := p.cfg.CheckpointEvery > 0 && b.now >= p.nextCkpt
+		if len(in) == 0 || ckpt {
+			p.classify()
+		}
+		if ckpt {
+			p.checkpoint(b.now)
+			for p.nextCkpt <= b.now {
+				p.nextCkpt += p.cfg.CheckpointEvery
+			}
+		}
 	}
 	for _, k := range p.order {
 		p.curKey = k
-		p.users[k].Flush(emit)
+		p.users[k].Flush(p.emit)
 	}
-	p.flushRows(out)
+	p.classify()
+	return nil
 }
 
 func keyLess(a, b Key) bool {
@@ -425,160 +311,94 @@ func keyLess(a, b Key) bool {
 	return a.RNTI < b.RNTI
 }
 
-// emitRow returns the assembler's emit callback (built once per stage —
-// it is called per row); curKey names the user the row belongs to. The
-// extractor's row is scratch, so it is copied into the bundle's arena;
-// the arena's capacity covers maxBatch rows, so the append can never grow
-// it in place and move rows already recorded.
-func (p *pipeline) emitRow(out chan<- *rowBatch) func(start time.Duration, row []float64) {
-	return func(start time.Duration, row []float64) {
-		if p.cfg.TapWindow != nil {
-			p.cfg.TapWindow(p.curKey, start, row)
-		}
-		b := p.cur
-		n := len(b.flat)
-		b.flat = append(b.flat, row...)
-		b.keys = append(b.keys, p.curKey)
-		b.starts = append(b.starts, start)
-		b.rows = append(b.rows, b.flat[n:len(b.flat):len(b.flat)])
-		if len(b.rows) >= maxBatch {
-			p.flushRows(out)
-		}
+// emitRow is the extractors' emit callback; curKey names the user the row
+// belongs to. The extractor's row is scratch, so it is copied into the
+// bundle's arena, whose capacity covers maxBatch rows: the bundle is
+// classified as it fills, so the append never grows the arena in place.
+func (p *pipeline) emitRow(start time.Duration, row []float64) {
+	if p.cfg.TapWindow != nil {
+		p.cfg.TapWindow(p.curKey, start, row)
+	}
+	b := &p.batch
+	n := len(b.flat)
+	b.flat = append(b.flat, row...)
+	b.keys = append(b.keys, p.curKey)
+	b.starts = append(b.starts, start)
+	b.rows = append(b.rows, b.flat[n:len(b.flat):len(b.flat)])
+	if len(b.rows) >= maxBatch {
+		p.classify()
 	}
 }
 
-// flushRows ships the accumulated rows (if any) under the shed policy.
-func (p *pipeline) flushRows(out chan<- *rowBatch) {
-	if len(p.cur.rows) == 0 {
+// classify runs the forest hierarchy batched over the bundle's rows, votes
+// each prediction, and empties the bundle. Batch composition cannot change
+// predictions (batch prediction is documented bit-identical to per-row
+// prediction), and predictions land in the bundle's own apps buffer via
+// the reusable scratch, so the steady-state path allocates nothing.
+func (p *pipeline) classify() {
+	b := &p.batch
+	if len(b.rows) == 0 {
 		return
 	}
-	b := p.cur
-	// The row count is read before the send: once the bundle is handed
-	// downstream it may be recycled (and reset) at any moment.
 	n := int64(len(b.rows))
-	p.mAssemble.batches.Inc()
-	if p.cfg.Shed {
-		select {
-		case out <- b:
-			p.st.Rows += n
-			p.mAssemble.items.Add(n)
-		default:
-			p.st.ShedRows += n
-			p.mAssemble.shed.Add(n)
-			p.putBatch(b)
-		}
-	} else {
-		out <- b
-		p.st.Rows += n
-		p.mAssemble.items.Add(n)
-	}
-	p.mAssemble.depth.Set(int64(len(out)))
-	p.cur = p.getBatch()
+	p.st.Rows += n
+	p.mAssemble.items.Add(n)
+	t := p.mClassify.ms.Start()
+	b.apps = b.apps[:len(b.rows)]
+	p.cfg.Classifier.PredictBatchInto(b.rows, b.apps, &p.clfScratch)
+	t.Stop()
+	p.st.Predictions += n
+	p.mClassify.items.Add(n)
+	p.vote(b)
+	b.keys = b.keys[:0]
+	b.starts = b.starts[:0]
+	b.rows = b.rows[:0]
+	b.flat = b.flat[:0]
+	b.apps = b.apps[:0]
 }
 
-// classifyStage runs the forest hierarchy batched over each row batch.
-// Batch composition cannot change predictions (batch prediction is
-// documented bit-identical to per-row prediction), so shed/batching policy
-// upstream never alters what a surviving row classifies as. Predictions
-// land in the bundle's own apps buffer via the reusable scratch, so the
-// steady-state classify path allocates nothing.
-func (p *pipeline) classifyStage(in <-chan *rowBatch, out chan<- *rowBatch) {
-	defer close(out)
-	for b := range in {
-		if b.ckpt != nil {
-			b.ckpt.Stats.Predictions = p.st.Predictions
-			b.ckpt.Stats.ShedPredictions = p.st.ShedPredictions
-			out <- b
-			p.mClassify.depth.Set(int64(len(out)))
-			continue
-		}
-		t := p.mClassify.ms.Start()
-		b.apps = b.apps[:len(b.rows)]
-		p.cfg.Classifier.PredictBatchInto(b.rows, b.apps, &p.clfScratch)
-		t.Stop()
-		// As above: count before the send, not after the handoff.
-		n := int64(len(b.apps))
-		p.mClassify.batches.Inc()
-		if p.cfg.Shed {
-			select {
-			case out <- b:
-				p.st.Predictions += n
-				p.mClassify.items.Add(n)
-			default:
-				p.st.ShedPredictions += n
-				p.mClassify.shed.Add(n)
-				p.putBatch(b)
-			}
-		} else {
-			out <- b
-			p.st.Predictions += n
-			p.mClassify.items.Add(n)
-		}
-		p.mClassify.depth.Set(int64(len(out)))
-	}
-}
-
-// userVote is the verdict stage's per-user state, carved out of a ringSlab.
+// userVote is one user's vote state, carved out of a ringSlab.
 type userVote struct {
 	ring  voteRing
 	drift driftMonitor
 }
 
-// verdictStage folds predictions into rolling per-user majority votes,
+// vote folds a classified bundle into rolling per-user majority votes,
 // emitting one verdict per classified window once the user has enough
-// history, and watching confidence for the retrain gate. As the bundle's
-// last reader it returns each one to the freelist.
-func (p *pipeline) verdictStage(in <-chan *rowBatch) {
-	votes := p.votes
-	for b := range in {
-		if b.ckpt != nil {
-			t := p.ckptMS.Start()
-			p.captureVotes(b.ckpt)
-			if p.cfg.OnCheckpoint != nil {
-				p.cfg.OnCheckpoint(b.ckpt)
-			}
-			t.Stop()
-			p.ckptC.Inc()
-			p.putBatch(b)
+// history, and watching confidence for the retrain gate.
+func (p *pipeline) vote(b *rowBatch) {
+	t := p.mVerdict.ms.Start()
+	for i, k := range b.keys {
+		u, ok := p.votes[k]
+		if !ok {
+			u = p.slab.get()
+			p.votes[k] = u
+		}
+		u.ring.push(p.table.index[b.apps[i]])
+		if u.ring.fill < p.cfg.MinVerdictWindows {
 			continue
 		}
-		t := p.mVerdict.ms.Start()
-		for i, k := range b.keys {
-			u, ok := votes[k]
-			if !ok {
-				u = p.slab.get()
-				u.drift = driftMonitor{threshold: p.cfg.DriftThreshold}
-				votes[k] = u
-			}
-			u.ring.push(p.table.index[b.apps[i]])
-			if u.ring.fill < p.cfg.MinVerdictWindows {
-				continue
-			}
-			app, conf := u.ring.majority()
-			v := Verdict{
+		app, conf := u.ring.majority()
+		p.st.Verdicts++
+		p.mVerdict.items.Inc()
+		if p.cfg.OnVerdict != nil {
+			p.cfg.OnVerdict(Verdict{
 				At:         b.starts[i],
 				Key:        k,
 				App:        p.table.names[app],
 				Confidence: conf,
 				Windows:    u.ring.fill,
-			}
-			p.st.Verdicts++
-			p.mVerdict.items.Inc()
-			if p.cfg.OnVerdict != nil {
-				p.cfg.OnVerdict(v)
-			}
-			if u.drift.observe(conf, u.ring.fill) {
-				p.st.RetrainSignals++
-				p.retrainC.Inc()
-				if p.cfg.OnRetrain != nil {
-					p.cfg.OnRetrain(RetrainSignal{
-						At: b.starts[i], Key: k, Confidence: conf, Windows: u.ring.fill,
-					})
-				}
+			})
+		}
+		if u.drift.observe(conf, u.ring.fill) {
+			p.st.RetrainSignals++
+			p.retrainC.Inc()
+			if p.cfg.OnRetrain != nil {
+				p.cfg.OnRetrain(RetrainSignal{
+					At: b.starts[i], Key: k, Confidence: conf, Windows: u.ring.fill,
+				})
 			}
 		}
-		p.mVerdict.batches.Inc()
-		t.Stop()
-		p.putBatch(b)
 	}
+	t.Stop()
 }

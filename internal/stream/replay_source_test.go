@@ -36,8 +36,8 @@ func (s *ReplaySource) Next(dst trace.Trace) (trace.Trace, time.Duration, bool) 
 // FastForward positions the replay at a checkpoint's simulated time:
 // records with At < now are skipped (they were delivered before the
 // checkpoint was cut) and the next slice starts at now. now should be a
-// multiple of Slice — checkpoint barriers are emitted at slice
-// boundaries — so the post-restore slice grid matches the original run's.
+// multiple of Slice — checkpoints are cut at slice boundaries — so the
+// post-restore slice grid matches the original run's.
 func (s *ReplaySource) FastForward(now time.Duration) {
 	s.now = now
 	s.idx = 0

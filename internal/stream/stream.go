@@ -1,30 +1,29 @@
 // Package stream is the serving-shaped counterpart to the offline capture
-// pipeline: a bounded-channel, staged online path that turns a live
+// pipeline: a bounded-channel online path that turns a live
 // sniffer feed into rolling per-RNTI app verdicts while the capture is
 // still running — the paper's attacker as it actually operates, rather
 // than the batch reconstruction the rest of the repository performs after
 // the fact.
 //
-// The pipeline has four stages connected by bounded queues:
+// The pipeline runs on two goroutines joined by one bounded queue:
 //
-//	source    — steps a record source (the live simulation) one
-//	            time slice at a time
-//	assemble  — routes records to a per-(cell,RNTI) incremental window
-//	            extractor (features.Incremental, the one offline
-//	            extraction also runs) and batches the emitted rows
-//	classify  — runs the fingerprint classifier's batched forest
-//	            inference over each row batch
-//	verdict   — folds predictions into per-RNTI rolling majority votes,
-//	            raising verdicts and watching confidence for drift
+//	producer — steps a record source (the live simulation) one time
+//	           slice at a time and queues each slice
+//	consumer — the caller's goroutine: routes records to a
+//	           per-(cell,RNTI) incremental window extractor
+//	           (features.Incremental, the one offline extraction also
+//	           runs), runs the fingerprint classifier's batched forest
+//	           inference over the emitted rows, and folds predictions
+//	           into per-RNTI rolling majority votes, raising verdicts and
+//	           watching confidence for drift
 //
-// Backpressure is explicit: each queue is bounded, and the pipeline either
-// blocks the producer (Config.Shed false — lossless, the default) or
-// sheds the overflowing batch and counts it in obs (Config.Shed true —
-// bounded latency). Nothing is ever dropped silently.
+// The source and the rest of the work overlap, which is most of what the
+// pipeline buys over a serial loop. Backpressure only blocks: when the
+// queue is full the producer waits, so nothing is ever dropped.
 //
-// Shutdown is cooperative: cancelling the context stops the source, and
-// every downstream stage drains what is already in flight before closing
-// its output, so Run returns with no goroutine left behind.
+// Shutdown is cooperative: cancelling the context stops the producer, the
+// consumer processes what is already queued, and Run returns with no
+// goroutine left behind.
 package stream
 
 import (
@@ -70,10 +69,15 @@ type RetrainSignal struct {
 // Queue, batch and drift constants of the pipeline. Every caller runs the
 // paper's live attacker with these values, so they are not configurable.
 const (
-	// queueDepth bounds each inter-stage channel, in batches.
+	// queueDepth bounds the producer's queue, in source slices: room for
+	// the source to run on through a slow classify call or checkpoint
+	// callback instead of waiting on it.
 	queueDepth = 64
 	// maxBatch caps the rows handed to one classify call.
 	maxBatch = 64
+	// driftThreshold is the confidence gate, the paper's 70% stability
+	// gate.
+	driftThreshold = 0.70
 	// driftMinWindows is how many windows the vote must hold before the
 	// drift monitor may fire.
 	driftMinWindows = 30
@@ -85,58 +89,52 @@ type Config struct {
 	// its training geometry (fingerprint.DefaultWindow if it has none).
 	Classifier *fingerprint.Classifier
 
-	// Shed selects drop-and-count over block-the-producer when a queue is
-	// full. Shed events surface in Stats and the stage obs counters.
-	Shed bool
-
 	// VoteHorizon is the rolling vote length in windows (default 50 — five
 	// seconds of 100 ms windows).
 	VoteHorizon int
 	// MinVerdictWindows is how many windows a user needs before verdicts
 	// are emitted (default 5).
 	MinVerdictWindows int
-	// DriftThreshold is the confidence gate (default 0.70, the paper's).
-	DriftThreshold float64
 
 	// OnVerdict, when set, receives every rolling verdict, from the
-	// verdict stage's goroutine.
+	// caller's goroutine.
 	OnVerdict func(Verdict)
 	// OnRetrain, when set, receives drift signals (latched: one per user
 	// per excursion below the threshold).
 	OnRetrain func(RetrainSignal)
 	// TapWindow, when set, observes every extracted window row before
-	// classification, from the assemble stage's goroutine. The row is
+	// classification, from the caller's goroutine. The row is
 	// scratch — copy to retain. Used by the offline-equivalence tests.
 	TapWindow func(key Key, start time.Duration, row []float64)
 
-	// CheckpointEvery, when positive, emits a checkpoint barrier whenever
-	// the source crosses a multiple of this much simulated time. The
-	// barrier flows through every stage in queue order, so the resulting
-	// Checkpoint is a consistent cut: assembler state after every record
-	// before the barrier, verdict state after every window those records
-	// completed.
+	// CheckpointEvery, when positive, cuts a checkpoint whenever the
+	// source crosses a multiple of this much simulated time. The cut is
+	// taken once the slice that crossed it has been processed, so the
+	// Checkpoint is consistent: assembler state after every record up to
+	// the cut, vote state after every window those records completed.
 	CheckpointEvery time.Duration
-	// OnCheckpoint receives each completed checkpoint, from the verdict
-	// stage's goroutine. The checkpoint is plain data owned by the
-	// callback; the pipeline never touches it again.
+	// OnCheckpoint receives each completed checkpoint, from the caller's
+	// goroutine. The checkpoint is plain data owned by the callback; the
+	// pipeline never touches it again.
 	OnCheckpoint func(*Checkpoint)
-	// Restore primes the pipeline with a checkpoint's state before the
-	// stages start: per-user window assembly, vote rings, drift latches,
+	// Restore primes the pipeline with a checkpoint's state before it
+	// starts: per-user window assembly, vote rings, drift latches,
 	// and cumulative stats. The source must resume at Restore.Now (for a
 	// deterministic simulated source, fast-forwarded to that time); the
 	// pipeline then produces verdicts byte-identical to an uninterrupted
 	// run. Restore fails if the checkpoint's window geometry disagrees
 	// with the classifier's or its vote horizon with this configuration.
 	Restore *Checkpoint
-	// RecoverPanics turns a panicking stage into a clean pipeline
-	// shutdown: in-flight work is drained, Run returns the panic as an
-	// error, and the process survives — the daemon's supervisor then
-	// restarts the capture from its last checkpoint.
+	// RecoverPanics turns a panic in the source or the consumer into a
+	// clean pipeline shutdown: the producer is stopped and waited for, Run
+	// returns the panic as an error, and the process survives — the
+	// daemon's supervisor then restarts the capture from its last
+	// checkpoint.
 	RecoverPanics bool
 
-	// Metrics, when enabled, receives per-stage counters, queue-depth
-	// gauges, and stage-latency histograms under source./assemble./
-	// classify./verdict. The zero Scope disables instrumentation.
+	// Metrics, when enabled, receives per-stage counters and
+	// stage-latency histograms under source./assemble./classify./verdict.
+	// The zero Scope disables instrumentation.
 	Metrics obs.Scope
 }
 
@@ -147,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinVerdictWindows <= 0 {
 		c.MinVerdictWindows = 5
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 0.70
 	}
 	return c
 }
@@ -167,8 +162,7 @@ func geometry(clf *fingerprint.Classifier) (window, stride time.Duration) {
 	return window, stride
 }
 
-// Stats summarises one pipeline run. Every shed is also an obs counter;
-// nothing drops silently.
+// Stats summarises one pipeline run.
 type Stats struct {
 	// Records is how many sniffer records entered the assembler; Rows how
 	// many window rows it emitted; Predictions how many rows were
@@ -177,8 +171,9 @@ type Stats struct {
 	Rows        int64
 	Predictions int64
 	Verdicts    int64
-	// ShedRecords/ShedRows/ShedPredictions count payloads dropped at full
-	// queues in shed mode.
+	// ShedRecords/ShedRows/ShedPredictions are always zero: the pipeline
+	// blocks rather than drops. They stay because the checkpoint's stats
+	// section encodes them and the benchmark harness reads them.
 	ShedRecords     int64
 	ShedRows        int64
 	ShedPredictions int64

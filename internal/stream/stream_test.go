@@ -4,8 +4,10 @@ import (
 	"context"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,9 +129,8 @@ type tapped struct {
 // per-window prediction.
 func runStream(t *testing.T, src stream.Source, c *fingerprint.Classifier, mutate func(*stream.Config)) (map[stream.Key]*tapped, *stream.Stats) {
 	t.Helper()
-	// TapWindow fires from the assemble goroutine and OnVerdict from the
-	// verdict goroutine, so access to the shared map is locked.
-	var mu sync.Mutex
+	// TapWindow and OnVerdict both run on Run's caller goroutine, so the
+	// map needs no lock.
 	got := make(map[stream.Key]*tapped)
 	at := func(k stream.Key) *tapped {
 		u, ok := got[k]
@@ -144,15 +145,11 @@ func runStream(t *testing.T, src stream.Source, c *fingerprint.Classifier, mutat
 		VoteHorizon:       1,
 		MinVerdictWindows: 1,
 		TapWindow: func(k stream.Key, start time.Duration, row []float64) {
-			mu.Lock()
-			defer mu.Unlock()
 			u := at(k)
 			u.starts = append(u.starts, start)
 			u.rows = append(u.rows, append([]float64(nil), row...))
 		},
 		OnVerdict: func(v stream.Verdict) {
-			mu.Lock()
-			defer mu.Unlock()
 			at(v.Key).apps = append(at(v.Key).apps, v.App)
 		},
 	}
@@ -362,4 +359,85 @@ func TestStreamRequiresClassifier(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run accepted a config without a classifier")
 	}
+}
+
+// TestOutputIndependentOfBacklog runs one capture twice: once behind a
+// slow source, so the consumer has usually caught up and classifies each
+// slice on its own, and once with the consumer held at its first verdict
+// until the source has queued dozens of slices, so rows from many slices
+// share a classify call. Verdicts, checkpoint bytes and stats must not
+// differ, and the held run must have made fewer classify calls.
+func TestOutputIndependentOfBacklog(t *testing.T) {
+	clf := classifier(t)
+	res, err := capture.Run(twoUserScenario(t, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type output struct {
+		verdicts []stream.Verdict
+		ckpts    [][]byte
+		st       *stream.Stats
+		calls    int64
+	}
+	run := func(src stream.Source, hold func()) output {
+		var out output
+		reg := obs.NewRegistry()
+		cfg := stream.Config{
+			Classifier:      clf,
+			CheckpointEvery: 2 * time.Second,
+			Metrics:         reg.Scope("stream"),
+			OnVerdict: func(v stream.Verdict) {
+				if hold != nil {
+					hold()
+					hold = nil
+				}
+				out.verdicts = append(out.verdicts, v)
+			},
+			OnCheckpoint: func(c *stream.Checkpoint) { out.ckpts = append(out.ckpts, encodeCheckpoint(t, c)) },
+		}
+		if out.st, err = stream.Run(context.Background(), src, cfg); err != nil {
+			t.Fatal(err)
+		}
+		h, _ := reg.Snapshot().Histogram("stream.classify.stage_ms")
+		out.calls = h.Count
+		return out
+	}
+
+	slow := run(&pacedSource{Source: &stream.ReplaySource{Trace: res.Records}, pause: time.Millisecond}, nil)
+	counted := &pacedSource{Source: &stream.ReplaySource{Trace: res.Records}}
+	held := run(counted, func() {
+		for counted.calls.Load() < 40 && !counted.done.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	})
+
+	if !reflect.DeepEqual(held.verdicts, slow.verdicts) {
+		t.Errorf("verdicts differ: %d with a backlog, %d without", len(held.verdicts), len(slow.verdicts))
+	}
+	if len(slow.ckpts) < 2 || !reflect.DeepEqual(held.ckpts, slow.ckpts) {
+		t.Errorf("checkpoints differ or too few: %d with a backlog, %d without", len(held.ckpts), len(slow.ckpts))
+	}
+	if *held.st != *slow.st {
+		t.Errorf("stats differ:\n  backlog %+v\n  paced   %+v", held.st, slow.st)
+	}
+	t.Logf("classify calls: %d paced, %d held", slow.calls, held.calls)
+	if held.calls >= slow.calls {
+		t.Errorf("held run made %d classify calls, paced run %d: the backlog was not batched", held.calls, slow.calls)
+	}
+}
+
+// pacedSource sleeps pause before each Next and counts the calls.
+type pacedSource struct {
+	stream.Source
+	pause time.Duration
+	calls atomic.Int64
+	done  atomic.Bool
+}
+
+func (s *pacedSource) Next(dst trace.Trace) (trace.Trace, time.Duration, bool) {
+	time.Sleep(s.pause)
+	out, now, more := s.Source.Next(dst)
+	s.calls.Add(1)
+	s.done.Store(!more)
+	return out, now, more
 }

@@ -32,8 +32,9 @@ type LiveVerdict struct {
 
 // LiveStats summarises a streaming capture run.
 type LiveStats struct {
-	// Records, Rows, Predictions and Verdicts count work through the four
-	// pipeline stages.
+	// Records, Rows, Predictions and Verdicts count work through the
+	// pipeline: records assembled, window rows extracted, rows classified
+	// and verdicts raised.
 	Records     int64
 	Rows        int64
 	Predictions int64
@@ -58,16 +59,6 @@ type LiveOptions struct {
 	// Model is the trained fingerprinter classifying the stream
 	// (required).
 	Model *Fingerprinter
-	// Slice is the simulated time stepped per pipeline pull (default
-	// 100 ms).
-	Slice time.Duration
-	// VoteHorizon is the rolling vote length in windows (default 50).
-	VoteHorizon int
-	// MinVerdictWindows is how many windows a user needs before verdicts
-	// are emitted (default 5).
-	MinVerdictWindows int
-	// DriftThreshold is the retrain confidence gate (default 0.70).
-	DriftThreshold float64
 	// OnVerdict, when set, receives every rolling verdict as it forms.
 	OnVerdict func(LiveVerdict)
 	// OnRetrain, when set, receives the verdict state at each drift
@@ -109,11 +100,8 @@ func LiveCapture(ctx context.Context, opts LiveOptions) (*LiveStats, error) {
 		}
 	}
 	cfg := stream.Config{
-		Classifier:        opts.Model.clf,
-		VoteHorizon:       opts.VoteHorizon,
-		MinVerdictWindows: opts.MinVerdictWindows,
-		DriftThreshold:    opts.DriftThreshold,
-		Metrics:           opts.Capture.Metrics.Scope("stream"),
+		Classifier: opts.Model.clf,
+		Metrics:    opts.Capture.Metrics.Scope("stream"),
 	}
 	if opts.OnVerdict != nil {
 		cb := opts.OnVerdict
@@ -131,7 +119,7 @@ func LiveCapture(ctx context.Context, opts LiveOptions) (*LiveStats, error) {
 			})
 		}
 	}
-	st, runErr := stream.Run(ctx, &stream.LiveSource{Live: live, Slice: opts.Slice}, cfg)
+	st, runErr := stream.Run(ctx, &stream.LiveSource{Live: live}, cfg)
 	live.Close()
 	out := &LiveStats{
 		Records:        st.Records,

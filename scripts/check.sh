@@ -28,9 +28,10 @@ echo "== go vet -tags e2e ./e2e"
 go vet -tags e2e ./e2e
 echo "== go build ./..."
 go build ./...
-# The streaming pipeline is the most concurrency-dense package in the
-# repo (four stages, bounded channels, cancellation); gate it explicitly
-# so a filtered full-suite run can never skip it.
+# The streaming pipeline hands every source slice between two goroutines
+# (a producer and the caller's consumer) over a bounded channel, with
+# record slices recycled back, cancellation and panic recovery on both
+# sides; gate it explicitly so a filtered full-suite run can never skip it.
 echo "== go test -race ./internal/stream/..."
 go test -race ./internal/stream/...
 # internal/par is the one fan-out loop behind the experiment runners, the
@@ -56,7 +57,7 @@ go test -race ./internal/lte/network/...
 echo "== go test -race -run 'TestSchedulerScenarioDigests' ./internal/capture"
 go test -race -run 'TestSchedulerScenarioDigests' ./internal/capture
 # The daemon supervises one goroutine per capture, each checkpointing
-# and restarting the four-stage pipeline; gate a full checkpoint-restore
+# and restarting the two-goroutine pipeline; gate a full checkpoint-restore
 # cycle under -race explicitly so the byte-identical-convergence
 # guarantee is always exercised with the detector on.
 echo "== go test -race -run 'TestDaemonCheckpointRestartConvergence' ./internal/daemon"
