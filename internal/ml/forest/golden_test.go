@@ -31,6 +31,24 @@ func goldenDataset() *dataset.Dataset {
 	return ds
 }
 
+// tieDataset is a 5-class dataset whose columns are small integers, so
+// nearly every column position ties with its neighbours, plus one constant
+// column that can never split.
+func tieDataset() *dataset.Dataset {
+	g := sim.NewRNG(17)
+	ds := dataset.New([]string{"a", "b", "c", "d", "e"}, nil)
+	for i := 0; i < 450; i++ {
+		y := i % 5
+		x := make([]float64, 9)
+		for j := range x {
+			x[j] = float64(g.IntN(4) + y*(j%3))
+		}
+		x[5] = 3
+		ds.Add(x, y)
+	}
+	return ds
+}
+
 // fileNode is one node as the model file spells it (see forest.Encode).
 type fileNode struct {
 	feature     int64
@@ -152,6 +170,15 @@ func TestGoldenTrees(t *testing.T) {
 		if got := hashForest(t, f); got != tc.want {
 			t.Errorf("cfg %+v: forest hash %#x, want golden %#x", tc.cfg, got, tc.want)
 		}
+	}
+	// Heavy ties and a constant column, with a bootstrap smaller than the
+	// dataset; recorded from the trainer that sized its columns at S.
+	f, err := forest.Train(tieDataset(), forest.Config{Trees: 8, Seed: 3, MinLeaf: 1, SubsampleSize: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hashForest(t, f), uint64(0xf06b9a381cc128df); got != want {
+		t.Errorf("tie dataset: forest hash %#x, want golden %#x", got, want)
 	}
 }
 
