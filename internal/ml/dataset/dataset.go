@@ -6,6 +6,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ltefp/internal/sim"
 )
@@ -31,6 +32,12 @@ func New(classes, featureNames []string) *Dataset {
 func (d *Dataset) Add(x []float64, y int) {
 	d.X = append(d.X, x)
 	d.Y = append(d.Y, y)
+}
+
+// Grow reserves room for n more rows, so that many Adds do not reallocate.
+func (d *Dataset) Grow(n int) {
+	d.X = slices.Grow(d.X, n)
+	d.Y = slices.Grow(d.Y, n)
 }
 
 // AddAll appends many rows with one label.

@@ -1,6 +1,7 @@
 package forest_test
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -153,5 +154,62 @@ func TestSingleClass(t *testing.T) {
 	}
 	if f.PredictBatch([][]float64{{3}})[0] != 0 {
 		t.Fatal("pure forest mispredicts its only class")
+	}
+}
+
+// mixed builds an n-row dataset of the given class count and width whose
+// even columns are continuous and odd columns small integers, so the
+// columns mix distinct values with heavy ties.
+func mixed(n, classes, dim int, seed uint64) *dataset.Dataset {
+	g := sim.NewRNG(seed)
+	names := make([]string, classes)
+	for i := range names {
+		names[i] = string(rune('a' + i))
+	}
+	ds := dataset.New(names, nil)
+	for i := 0; i < n; i++ {
+		y := i % classes
+		x := make([]float64, dim)
+		for j := range x {
+			if j%2 == 0 {
+				x[j] = g.Normal(float64(y*(j%4)), 2)
+			} else {
+				x[j] = float64(g.IntN(3) + y%(j%5+1))
+			}
+		}
+		ds.Add(x, y)
+	}
+	return ds
+}
+
+// TestTrainerReuseMatchesFresh: one Trainer carried through datasets that
+// shrink and grow in rows, change class count and width, and alternate
+// worker counts yields, every time, the bytes a fresh Train yields.
+func TestTrainerReuseMatchesFresh(t *testing.T) {
+	var tr forest.Trainer
+	for i, tc := range []struct {
+		n, classes, dim int
+		cfg             forest.Config
+	}{
+		{900, 13, 25, forest.Config{Trees: 6, Seed: 1, Workers: 4}},
+		{250, 3, 12, forest.Config{Trees: 5, Seed: 2, Workers: 1}},
+		{1400, 4, 12, forest.Config{Trees: 7, Seed: 3, Workers: 4}},
+		{600, 4, 25, forest.Config{Trees: 4, Seed: 4, Workers: 1, SubsampleSize: 200}},
+		{120, 13, 25, forest.Config{Trees: 3, Seed: 5, Workers: 4, MinLeaf: 1}},
+		{1000, 3, 12, forest.Config{Trees: 6, Seed: 6, Workers: 1}},
+	} {
+		ds := mixed(tc.n, tc.classes, tc.dim, uint64(i+1))
+		got, err := tr.Train(ds, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := forest.Train(ds, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Errorf("step %d (n=%d classes=%d dim=%d %+v): reused Trainer's forest differs from a fresh Train's",
+				i, tc.n, tc.classes, tc.dim, tc.cfg)
+		}
 	}
 }
