@@ -21,6 +21,7 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -362,17 +363,36 @@ func (d *Daemon) runCapture(ctx context.Context, cr *captureRun) error {
 }
 
 // runOnce executes one pipeline run of a capture, resuming from the
-// latest checkpoint when one is loadable.
+// latest checkpoint when one is loadable. A checkpoint the pipeline itself
+// refuses (stream.ErrRestore) is rejected like any other: the run starts
+// fresh instead.
 func (d *Daemon) runOnce(ctx context.Context, cr *captureRun) error {
 	rs := d.loadCheckpoint(cr)
+	err := d.runFrom(ctx, cr, rs)
+	if rs != nil && errors.Is(err, stream.ErrRestore) {
+		d.ckptRejects.Inc()
+		d.printf("[%s] ignoring checkpoint %s: %v; starting fresh\n", cr.spec.Name, cr.ckptPath, err)
+		err = d.runFrom(ctx, cr, nil)
+	}
+	return err
+}
+
+// runFrom executes one pipeline run of a capture from the start, or from
+// rs when it is not nil.
+func (d *Daemon) runFrom(ctx context.Context, cr *captureRun, rs *restoreState) error {
 	live, err := capture.NewLive(cr.scenario)
 	if err != nil {
 		return err
 	}
-	defer live.Close()
+	defer func() { live.Close() }()
 
 	var restore *stream.Checkpoint
 	var src stream.Source = &stream.LiveSource{Live: live, Slice: d.cfg.Slice}
+	// The verdict summary held before adopting the checkpoint's, put back
+	// if the pipeline refuses the checkpoint.
+	cr.mu.Lock()
+	lastApp, latest, order := cr.lastApp, cr.latest, cr.order
+	cr.mu.Unlock()
 	if rs != nil {
 		restore = rs.ck
 		// Re-simulate the deterministic scenario to the checkpoint time in
@@ -423,6 +443,14 @@ func (d *Daemon) runOnce(ctx context.Context, cr *captureRun) error {
 
 	cr.setState(StateRunning)
 	st, err := stream.Run(ctx, src, cfg)
+	if st == nil {
+		// Run refused to start: no verdict was raised and no stats exist.
+		cr.mu.Lock()
+		cr.restored = false
+		cr.lastApp, cr.latest, cr.order = lastApp, latest, order
+		cr.mu.Unlock()
+		return err
+	}
 
 	cr.mu.Lock()
 	cr.stats = *st

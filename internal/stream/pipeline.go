@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -97,6 +98,13 @@ type pipeline struct {
 	st Stats
 }
 
+// ErrRestore is wrapped by the error of a Run that refuses its
+// Config.Restore: a checkpoint whose state does not fit the classifier or
+// the configuration, or lies out of range. Such a Run reads nothing from
+// its source and returns nil stats, so the caller may start over without
+// the checkpoint.
+var ErrRestore = errors.New("checkpoint rejected")
+
 // Run executes the pipeline over the source until the source is exhausted
 // or ctx is cancelled. A producer goroutine pulls the source and hands its
 // slices over one bounded channel; the caller's goroutine assembles,
@@ -144,7 +152,7 @@ func Run(ctx context.Context, src Source, cfg Config) (*Stats, error) {
 	}
 	if cfg.Restore != nil {
 		if err := p.restore(cfg.Restore); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 		}
 		if cfg.CheckpointEvery > 0 {
 			p.nextCkpt = cfg.Restore.Now - cfg.Restore.Now%cfg.CheckpointEvery + cfg.CheckpointEvery
