@@ -710,6 +710,41 @@ func BenchmarkForestTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkFingerprintTrain measures fitting the whole two-level
+// hierarchy (the category forest and the three app forests, 100 trees
+// each) on about 10 000 window vectors of every app's, the size of one
+// Table III variant's training set. Half the columns are small integers,
+// so the columns tie the way packet and grant counts do.
+func BenchmarkFingerprintTrain(b *testing.B) {
+	g := sim.NewRNG(4)
+	ts := fingerprint.NewTrainingSet()
+	for a, app := range appmodel.Apps() {
+		vecs := make([][]float64, 1100)
+		for i := range vecs {
+			x := make([]float64, features.TotalDim)
+			for j := range x {
+				if j%2 == 0 {
+					x[j] = g.Normal(float64(a*(j%3)), 2)
+				} else {
+					x[j] = float64(g.IntN(6) + a%(j%4+1))
+				}
+			}
+			vecs[i] = x
+		}
+		if err := ts.Add(app.Name, vecs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := fingerprint.Config{Forest: forest.Config{Trees: 100, Seed: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fingerprint.Train(ts, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDTW measures one pairwise similarity over two 10-minute
 // rate series (600 one-second bins), the correlation attack's inner loop.
 func BenchmarkDTW(b *testing.B) {
