@@ -42,6 +42,11 @@ go test -race ./internal/par/...
 # The contact sweep shards all-pairs DTW across worker goroutines, each
 # keeping its own aligner and shard while par's counter hands out rows;
 # gate it under -race explicitly for the same reason.
+# A forest Trainer keeps one grower per par.Workers worker index across
+# Train calls, so the growers' reuse is concurrent state; gate the
+# bit-identity of reused, parallel and golden training under the detector.
+echo "== go test -race -run 'TestGoldenTrees|TestWorkersDoNotChangeTrees|TestTrainerReuseMatchesFresh' ./internal/ml/forest"
+go test -race -run 'TestGoldenTrees|TestWorkersDoNotChangeTrees|TestTrainerReuseMatchesFresh' ./internal/ml/forest
 echo "== go test -race ./internal/attack/correlation/..."
 go test -race ./internal/attack/correlation/...
 # The multi-cell fabric runs shards on a spin-barrier worker pool with
