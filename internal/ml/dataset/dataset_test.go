@@ -126,3 +126,20 @@ func TestSubsetSharesRows(t *testing.T) {
 		t.Fatal("Subset documented as sharing rows, but mutation did not propagate")
 	}
 }
+
+// TestGrowReservesRows: after Grow(n), n Adds keep the rows already held
+// and do not reallocate either column.
+func TestGrowReservesRows(t *testing.T) {
+	ds := synthetic(10, 9)
+	ds.Grow(25)
+	x0, y0 := &ds.X[0], &ds.Y[0]
+	for i := 0; i < 25; i++ {
+		ds.Add([]float64{float64(i), 0}, i%2)
+	}
+	if &ds.X[0] != x0 || &ds.Y[0] != y0 {
+		t.Fatal("Adds after Grow reallocated the dataset")
+	}
+	if want := synthetic(10, 9); ds.Len() != 35 || ds.Y[3] != want.Y[3] || ds.X[3][0] != want.X[3][0] {
+		t.Fatal("Grow changed the rows already held")
+	}
+}
