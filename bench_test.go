@@ -387,7 +387,7 @@ func BenchmarkFabric128Cells(b *testing.B) {
 			}
 			effective := workers
 			if g := runtime.GOMAXPROCS(0); effective > g {
-				effective = g // the pool caps itself at GOMAXPROCS
+				effective = g // the fabric caps itself at GOMAXPROCS
 			}
 			cellSeconds := float64(b.N) * cells * simDur.Seconds()
 			coreSeconds := b.Elapsed().Seconds() * float64(effective)

@@ -33,6 +33,7 @@ import (
 	"ltefp/internal/capture"
 	"ltefp/internal/lte/operator"
 	"ltefp/internal/obs"
+	"ltefp/internal/par"
 	"ltefp/internal/sim"
 	"ltefp/internal/sniffer"
 	"ltefp/internal/stream"
@@ -211,7 +212,6 @@ type captureRun struct {
 	now       time.Duration
 	ckptAt    time.Duration
 	ckptSize  int64
-	lastApp   map[stream.Key]string
 	latest    map[stream.Key]stream.Verdict
 	order     []stream.Key
 	tail      map[stream.Key][]trace.Record
@@ -275,7 +275,6 @@ func New(cfg Config) (*Daemon, error) {
 			spec:     spec,
 			scenario: sc,
 			state:    StatePending,
-			lastApp:  map[stream.Key]string{},
 			latest:   map[stream.Key]stream.Verdict{},
 			tail:     map[stream.Key][]trace.Record{},
 		}
@@ -291,22 +290,9 @@ func New(cfg Config) (*Daemon, error) {
 // (or ctx is cancelled and the pipelines drain). The returned error is
 // the first capture failure, if any; cancellation alone is not an error.
 func (d *Daemon) Run(ctx context.Context) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(d.caps))
-	for i, cr := range d.caps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = d.runCapture(ctx, cr)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return par.For(len(d.caps), len(d.caps), func(i int) error {
+		return d.runCapture(ctx, d.caps[i])
+	})
 }
 
 // runCapture supervises one capture: run, checkpoint, and on failure
@@ -391,7 +377,7 @@ func (d *Daemon) runFrom(ctx context.Context, cr *captureRun, rs *restoreState) 
 	// The verdict summary held before adopting the checkpoint's, put back
 	// if the pipeline refuses the checkpoint.
 	cr.mu.Lock()
-	lastApp, latest, order := cr.lastApp, cr.latest, cr.order
+	latest, order := cr.latest, cr.order
 	cr.mu.Unlock()
 	if rs != nil {
 		restore = rs.ck
@@ -422,7 +408,7 @@ func (d *Daemon) runFrom(ctx context.Context, cr *captureRun, rs *restoreState) 
 			// whose sessions ended before it, which the resumed pipeline
 			// will never see again — then drop anything at or after the cut:
 			// the resumed pipeline re-raises those verdicts identically.
-			cr.lastApp, cr.latest, cr.order = rs.lastApp, rs.latest, rs.order
+			cr.latest, cr.order = rs.latest, rs.order
 			cr.pruneVerdictsAfter(restore)
 		}
 		cr.mu.Unlock()
@@ -447,7 +433,7 @@ func (d *Daemon) runFrom(ctx context.Context, cr *captureRun, rs *restoreState) 
 		// Run refused to start: no verdict was raised and no stats exist.
 		cr.mu.Lock()
 		cr.restored = false
-		cr.lastApp, cr.latest, cr.order = lastApp, latest, order
+		cr.latest, cr.order = latest, order
 		cr.mu.Unlock()
 		return err
 	}
@@ -469,11 +455,11 @@ func (d *Daemon) runFrom(ctx context.Context, cr *captureRun, rs *restoreState) 
 // onVerdict records and prints one rolling verdict.
 func (d *Daemon) onVerdict(cr *captureRun, v stream.Verdict) {
 	cr.mu.Lock()
-	if _, seen := cr.latest[v.Key]; !seen {
+	prev, seen := cr.latest[v.Key]
+	if !seen {
 		cr.order = append(cr.order, v.Key)
 	}
-	changed := cr.lastApp[v.Key] != v.App
-	cr.lastApp[v.Key] = v.App
+	changed := prev.App != v.App
 	cr.latest[v.Key] = v
 	cr.now = v.At
 	cr.stats.Verdicts++
@@ -520,7 +506,6 @@ func (cr *captureRun) pruneVerdictsAfter(c *stream.Checkpoint) {
 	for k, v := range cr.latest {
 		if v.At >= c.Now {
 			delete(cr.latest, k)
-			delete(cr.lastApp, k)
 		}
 	}
 	kept := cr.order[:0]

@@ -57,37 +57,22 @@ func TableVIII(scale Scale, seed uint64) (*TableVIIIResult, error) {
 	for i, c := range cats {
 		catNames[i] = c.String()
 	}
-	// Sessions run in parallel; rows are appended serially in app and
-	// session order so the dataset layout matches the serial runner's.
-	apps := appmodel.Apps()
-	specs := make([]fingerprint.CollectSpec, len(apps))
-	for ai, app := range apps {
-		sessions, dur := scale.sessionsFor(app)
-		specs[ai] = fingerprint.CollectSpec{
-			Profile:          prof,
-			App:              app,
-			Sessions:         sessions,
-			SessionDur:       dur,
-			Seed:             seed + 2749 + uint64(ai+1)*7919,
-			Sniffer:          sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true},
-			ApplyProfileLoss: true,
-			Population:       scale.Population,
-			Metrics:          pipelineScope(),
-		}
-	}
-	collected, err := collectSessions("table VIII", specs, defaultWindows)
+	// Rows are appended in app and session order, so the dataset layout
+	// does not depend on the worker count.
+	data, err := collectDataset("table VIII", prof, scale, 0, seed+2749,
+		sniffer.Config{CorruptProb: sniffer.BaselineCorruption, DownlinkOnly: true}, fingerprint.AllDirections)
 	if err != nil {
 		return nil, err
 	}
 	ds := dataset.New(catNames, features.Names())
-	for ai, app := range apps {
+	for _, d := range data {
 		y := 0
 		for i, c := range cats {
-			if c == app.Category {
+			if c == d.app.Category {
 				y = i
 			}
 		}
-		for _, vecs := range collected[ai] {
+		for _, vecs := range d.sessions {
 			ds.AddAll(vecs, y)
 		}
 	}

@@ -30,13 +30,12 @@ package network
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ltefp/internal/appmodel"
 	"ltefp/internal/lte/enb"
 	"ltefp/internal/lte/ue"
+	"ltefp/internal/par"
 	"ltefp/internal/sim"
 )
 
@@ -159,11 +158,7 @@ func (n *Network) collectMail() {
 // free-run blocks executed serially or across workers.
 func (n *Network) run(until time.Duration) {
 	untilQ := ceilTTI(until)
-	var pool *workerPool
-	if n.workers > 1 && len(n.shards) > 1 {
-		pool = newWorkerPool(n.workers, n.shards)
-		defer pool.close()
-	}
+	workers := min(n.workers, runtime.GOMAXPROCS(0))
 	for n.clock.Now() < untilQ {
 		now := n.clock.Now()
 		n.applyMail(now)
@@ -188,8 +183,8 @@ func (n *Network) run(until time.Duration) {
 				end = untilQ
 			}
 		}
-		if pool != nil {
-			pool.runBlocks(now, end)
+		if workers > 1 && len(n.shards) > 1 {
+			n.runBlocks(now, end, workers)
 		} else {
 			for _, s := range n.shards {
 				s.runBlock(now, end)
@@ -200,87 +195,14 @@ func (n *Network) run(until time.Duration) {
 	}
 }
 
-// workerPool executes one block across goroutines with atomic
-// work-stealing over the shard slice — the same discipline as internal/par.
-// Shards touch disjoint state inside a block, so any shard→worker
-// assignment yields identical output.
-//
-// Blocks recur every few tens of microseconds, so the barrier must not
-// park and unpark OS threads each time (par's spawn-per-call loop would):
-// helpers spin (yielding) on a generation counter between blocks, and the
-// coordinating goroutine joins the steal loop itself instead of waiting
-// idle. The pool lives for one Run call; close stops the helpers.
-type workerPool struct {
-	shards []*shard
-	span   [2]time.Duration
-	gen    atomic.Int64 // block generation; helpers run one steal loop per bump
-	next   atomic.Int64 // shard cursor for the current block
-	done   atomic.Int64 // participants finished with the current block
-	stop   atomic.Bool
-	nw     int // participants, including the coordinator
-	wg     sync.WaitGroup
-}
-
-func newWorkerPool(workers int, shards []*shard) *workerPool {
-	nw := workers
-	if max := runtime.GOMAXPROCS(0); nw > max {
-		nw = max
-	}
-	if nw > len(shards) {
-		nw = len(shards)
-	}
-	p := &workerPool{shards: shards, nw: nw}
-	p.wg.Add(nw - 1)
-	for w := 0; w < nw-1; w++ {
-		go func() {
-			defer p.wg.Done()
-			var last int64
-			for {
-				g := p.gen.Load()
-				if g == last {
-					if p.stop.Load() {
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				last = g
-				p.steal()
-			}
-		}()
-	}
-	return p
-}
-
-// steal drains shards from the shared cursor until the block is exhausted,
-// then checks in at the barrier.
-func (p *workerPool) steal() {
-	span := p.span
-	for {
-		i := int(p.next.Add(1) - 1)
-		if i >= len(p.shards) {
-			break
+// runBlocks runs one free-run block with the shards handed out to workers
+// by internal/par. Shards touch disjoint state inside a block, so any
+// shard-to-worker assignment yields identical output. It is a method of
+// its own so that only the parallel path allocates the closures par needs.
+func (n *Network) runBlocks(from, to time.Duration, workers int) {
+	par.Workers(len(n.shards), workers, func(_ int, next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			n.shards[i].runBlock(from, to)
 		}
-		p.shards[i].runBlock(span[0], span[1])
-	}
-	p.done.Add(1)
-}
-
-// runBlocks runs one free-run block over all shards and returns once every
-// shard has reached the sync point. The span write is published to helpers
-// by the gen bump (atomics order prior writes).
-func (p *workerPool) runBlocks(from, to time.Duration) {
-	p.span = [2]time.Duration{from, to}
-	p.next.Store(0)
-	p.done.Store(0)
-	p.gen.Add(1)
-	p.steal()
-	for p.done.Load() < int64(p.nw) {
-		runtime.Gosched()
-	}
-}
-
-func (p *workerPool) close() {
-	p.stop.Store(true)
-	p.wg.Wait()
+	})
 }

@@ -89,9 +89,9 @@ func TestFabricWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128-cell fabric run takes a few seconds; skipped with -short")
 	}
-	// On single-core hosts the pool would cap itself back to one
-	// participant; raise GOMAXPROCS so the parallel path (helper
-	// goroutines, spin barrier, work-stealing) really executes — the
+	// On single-core hosts the fabric would cap itself back to one
+	// worker; raise GOMAXPROCS so the parallel path (par.Workers handing
+	// shards to goroutines, joined at every block) really executes — the
 	// correctness claim is identical output, not wall-clock speedup.
 	if old := runtime.GOMAXPROCS(0); old < 4 {
 		runtime.GOMAXPROCS(4)
@@ -206,6 +206,47 @@ func TestFabricPopulationWorkerInvariance(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(want)); got != serial {
 		t.Fatalf("population fabric digest %s diverged from golden %s", serial, got)
+	}
+}
+
+// advanceAllocs reports the mean heap allocations of advancing n by two
+// simulated seconds, over runs advances after one warm-up advance, with
+// GOMAXPROCS set to procs. It is testing.AllocsPerRun without that
+// function's GOMAXPROCS(1), which would cap the fabric at one worker and
+// hide the parallel path.
+func advanceAllocs(n *network.Network, procs, runs int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	n.Run(n.Now() + 2*time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		n.Run(n.Now() + 2*time.Second)
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
+// TestOneCellWorkersAllocateNothingExtra pins that a worker count above
+// one costs a one-cell network nothing: with a single shard the fabric
+// steps it on the caller's goroutine, so a warm cell allocates the same
+// per advance at SetWorkers(1) and SetWorkers(4), whatever GOMAXPROCS is.
+// Every capture scenario has one cell, so a per-block fan-out allocation
+// there would show in every capture.
+func TestOneCellWorkersAllocateNothingExtra(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		var per [2]float64
+		for i, workers := range []int{1, 4} {
+			n := network.New(7)
+			n.SetWorkers(workers)
+			if _, err := n.AddCell(1, operator.TMobile()); err != nil {
+				t.Fatal(err)
+			}
+			n.Run(4 * time.Second)
+			per[i] = advanceAllocs(n, procs, 10)
+		}
+		if per[0] != per[1] {
+			t.Errorf("GOMAXPROCS=%d: one-cell advance allocates %.0f at SetWorkers(1) but %.0f at SetWorkers(4)", procs, per[0], per[1])
+		}
 	}
 }
 

@@ -28,6 +28,12 @@ echo "== go vet -tags e2e ./e2e"
 go vet -tags e2e ./e2e
 echo "== go build ./..."
 go build ./...
+# The benchmark harness is its own module that calls the program's API; a
+# change that breaks it fails here instead of in a benchmark run.
+echo "== go build -C bench ./..."
+go build -C bench ./...
+echo "== go vet -C bench ./..."
+go vet -C bench ./...
 # The streaming pipeline hands every source slice between two goroutines
 # (a producer and the caller's consumer) over a bounded channel, with
 # record slices recycled back, cancellation and panic recovery on both
@@ -35,8 +41,9 @@ go build ./...
 echo "== go test -race ./internal/stream/..."
 go test -race ./internal/stream/...
 # internal/par is the one fan-out loop behind the experiment runners, the
-# forest trainer, batch prediction, campaign collection, and the contact
-# sweep; gate its own tests under the detector explicitly.
+# forest trainer, batch prediction, campaign collection, the contact
+# sweep, the multi-cell fabric's blocks and the daemon's captures; gate its
+# own tests under the detector explicitly.
 echo "== go test -race ./internal/par/..."
 go test -race ./internal/par/...
 # The contact sweep shards all-pairs DTW across worker goroutines, each
@@ -49,9 +56,9 @@ echo "== go test -race -run 'TestGoldenTrees|TestWorkersDoNotChangeTrees|TestTra
 go test -race -run 'TestGoldenTrees|TestWorkersDoNotChangeTrees|TestTrainerReuseMatchesFresh' ./internal/ml/forest
 echo "== go test -race ./internal/attack/correlation/..."
 go test -race ./internal/attack/correlation/...
-# The multi-cell fabric runs shards on a spin-barrier worker pool with
-# cross-shard mailboxes; its worker-count-invariance test is only
-# meaningful when the race detector watches the parallel path.
+# The multi-cell fabric hands each block's shards to par.Workers and joins
+# them before applying cross-shard mail; its worker-count-invariance test
+# is only meaningful when the race detector watches the parallel path.
 echo "== go test -race ./internal/lte/network/..."
 go test -race ./internal/lte/network/...
 # The population capture path crosses the O(active) scheduler, the
