@@ -135,3 +135,77 @@ func TestDaemonRestoresV1ModelCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// layout1Checkpoint is bob's checkpoint as a daemon of checkpoint layout
+// 1 wrote it under baseConfig, cut mid-capture.
+const layout1Checkpoint = "testdata/bob_layout1.ckpt"
+
+// runFromFixture runs the baseConfig daemon on a checkpoint directory
+// holding only the layout-1 fixture as bob's checkpoint, and returns its
+// output and bob's /healthz entry.
+func runFromFixture(t *testing.T) (string, daemon.CaptureStatus) {
+	t.Helper()
+	raw, err := os.ReadFile(layout1Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "bob.ckpt"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	d, err := daemon.New(baseConfig(t, dir, &out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	d.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h daemon.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range h.Captures {
+		if cs.Name == "bob" {
+			return out.String(), cs
+		}
+	}
+	t.Fatal("healthz lists no capture bob")
+	return "", daemon.CaptureStatus{}
+}
+
+// uninterruptedOutput is the output of a baseConfig daemon run that
+// never restores.
+func uninterruptedOutput(t *testing.T) string {
+	t.Helper()
+	var out bytes.Buffer
+	d, err := daemon.New(baseConfig(t, t.TempDir(), &out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
+// TestDaemonRestoresLayout1Checkpoint: the committed layout-1 fixture
+// restores under the build that wrote it, and bob finishes exactly as an
+// uninterrupted run does.
+func TestDaemonRestoresLayout1Checkpoint(t *testing.T) {
+	ref := uninterruptedOutput(t)
+	got, cs := runFromFixture(t)
+	if strings.Contains(got, "ignoring checkpoint") || !cs.Restored || cs.Restarts != 0 {
+		t.Fatalf("layout-1 fixture did not restore (restored=%v restarts=%d):\n%s", cs.Restored, cs.Restarts, got)
+	}
+	for _, kind := range []string{"final:", "done:"} {
+		want := strings.Join(linesFor(ref, "bob", kind), "\n")
+		have := strings.Join(linesFor(got, "bob", kind), "\n")
+		if want == "" || have != want {
+			t.Errorf("bob's %s lines after the restore differ from an uninterrupted run's:\n--- reference\n%s\n--- got\n%s",
+				kind, want, have)
+		}
+	}
+}
