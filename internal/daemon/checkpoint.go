@@ -13,6 +13,15 @@ import (
 	"ltefp/internal/stream"
 )
 
+// sectionDaemonLayout holds the checkpoint layout revision a file was
+// written in, one uvarint; a file without it is layout 1. A checkpoint of
+// another layout than checkpointLayout, the one this build writes, is
+// ignored and its capture starts fresh.
+const (
+	sectionDaemonLayout = "daemon.layout"
+	checkpointLayout    = 2
+)
+
 // sectionDaemonMeta binds a checkpoint file to the capture that wrote it:
 // restoring under a different spec or pipeline geometry is rejected.
 const sectionDaemonMeta = "daemon.meta"
@@ -60,7 +69,6 @@ func (cr *captureRun) encodeFinals() []byte {
 		v := cr.latest[k]
 		e.Varint(int64(k.CellID))
 		e.Uvarint(uint64(k.RNTI))
-		e.Str(v.App) // the layout carries the app twice; decodeFinals checks both agree
 		e.Duration(v.At)
 		e.Str(v.App)
 		e.F64(v.Confidence)
@@ -76,7 +84,6 @@ func decodeFinals(b []byte) (latest map[stream.Key]stream.Verdict, order []strea
 	latest = make(map[stream.Key]stream.Verdict, n)
 	for i := 0; i < n; i++ {
 		k := stream.Key{CellID: int(d.Varint()), RNTI: rnti.RNTI(d.Uvarint())}
-		app := d.Str()
 		v := stream.Verdict{Key: k}
 		v.At = d.Duration()
 		v.App = d.Str()
@@ -87,9 +94,6 @@ func decodeFinals(b []byte) (latest map[stream.Key]stream.Verdict, order []strea
 		}
 		if _, dup := latest[k]; dup {
 			return nil, nil, fmt.Errorf("daemon: finals: duplicate user %v", k)
-		}
-		if app != v.App {
-			return nil, nil, fmt.Errorf("daemon: finals: user %v has two apps, %q and %q", k, app, v.App)
 		}
 		latest[k] = v
 		order = append(order, k)
@@ -140,7 +144,12 @@ func (d *Daemon) writeCheckpoint(cr *captureRun, c *stream.Checkpoint) {
 // a concurrent writer can never leave a torn checkpoint behind.
 func (d *Daemon) writeCheckpointFile(cr *captureRun, c *stream.Checkpoint) (int64, error) {
 	model := d.classifierSections()
+	layout := snapshot.NewEncoder(1)
+	layout.Uvarint(checkpointLayout)
 	return snapshot.WriteFileAtomic(cr.ckptPath, func(w *snapshot.Writer) error {
+		if err := w.Section(sectionDaemonLayout, layout.Bytes()); err != nil {
+			return err
+		}
 		if err := w.Section(sectionDaemonMeta, d.encodeMeta(cr)); err != nil {
 			return err
 		}
@@ -184,8 +193,7 @@ func (d *Daemon) loadCheckpoint(cr *captureRun) *restoreState {
 	defer f.Close()
 	rs, err := d.decodeCheckpoint(cr, f)
 	if err != nil {
-		d.ckptRejects.Inc()
-		d.printf("[%s] ignoring checkpoint %s: %v\n", cr.spec.Name, cr.ckptPath, err)
+		d.rejectCheckpoint(cr, err)
 		return nil
 	}
 	cr.mu.Lock()
@@ -194,11 +202,31 @@ func (d *Daemon) loadCheckpoint(cr *captureRun) *restoreState {
 	return rs
 }
 
+// rejectCheckpoint counts and reports a checkpoint the capture will not
+// resume from, and keeps the reason for /healthz.
+func (d *Daemon) rejectCheckpoint(cr *captureRun, err error) {
+	d.ckptRejects.Inc()
+	cr.mu.Lock()
+	cr.ckptRejected = err.Error()
+	cr.mu.Unlock()
+	d.printf("[%s] ignoring checkpoint %s: %v; starting fresh\n", cr.spec.Name, cr.ckptPath, err)
+}
+
 // decodeCheckpoint validates and decodes one checkpoint container.
 func (d *Daemon) decodeCheckpoint(cr *captureRun, f *os.File) (*restoreState, error) {
 	sections, err := snapshot.ReadAll(f)
 	if err != nil {
 		return nil, err
+	}
+	layout := uint64(1)
+	if b, ok := sections[sectionDaemonLayout]; ok {
+		dec := snapshot.NewDecoder(b)
+		if layout = dec.Uvarint(); dec.Finish() != nil {
+			return nil, fmt.Errorf("checkpoint layout: %w", dec.Finish())
+		}
+	}
+	if layout != checkpointLayout {
+		return nil, fmt.Errorf("checkpoint layout %d, this build reads %d", layout, checkpointLayout)
 	}
 	meta, ok := sections[sectionDaemonMeta]
 	if !ok {

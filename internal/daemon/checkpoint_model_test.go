@@ -3,9 +3,6 @@ package daemon_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -99,12 +96,7 @@ func TestDaemonRestoresV1ModelCheckpoint(t *testing.T) {
 	if strings.Contains(resOut.String(), "ignoring checkpoint") {
 		t.Fatalf("v1-model checkpoint refused:\n%s", resOut.String())
 	}
-	rec := httptest.NewRecorder()
-	res.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var h daemon.Health
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
+	h := healthz(t, res)
 	for _, cs := range h.Captures {
 		if !cs.Restored {
 			t.Fatalf("%s: did not restore its v1-model checkpoint", cs.Name)
@@ -137,7 +129,8 @@ func TestDaemonRestoresV1ModelCheckpoint(t *testing.T) {
 }
 
 // layout1Checkpoint is bob's checkpoint as a daemon of checkpoint layout
-// 1 wrote it under baseConfig, cut mid-capture.
+// 1 wrote it under baseConfig, cut at t=6s. It restored under that daemon,
+// with bob's final and done lines equal to an uninterrupted run's.
 const layout1Checkpoint = "testdata/bob_layout1.ckpt"
 
 // runFromFixture runs the baseConfig daemon on a checkpoint directory
@@ -161,13 +154,7 @@ func runFromFixture(t *testing.T) (string, daemon.CaptureStatus) {
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	d.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var h daemon.Health
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range h.Captures {
+	for _, cs := range healthz(t, d).Captures {
 		if cs.Name == "bob" {
 			return out.String(), cs
 		}
@@ -191,20 +178,29 @@ func uninterruptedOutput(t *testing.T) string {
 	return out.String()
 }
 
-// TestDaemonRestoresLayout1Checkpoint: the committed layout-1 fixture
-// restores under the build that wrote it, and bob finishes exactly as an
-// uninterrupted run does.
-func TestDaemonRestoresLayout1Checkpoint(t *testing.T) {
+// TestDaemonRejectsOldLayoutCheckpoint: the committed layout-1 fixture
+// is refused by its layout number, reported with both layouts and on
+// /healthz, and bob starts fresh and finishes exactly as an uninterrupted
+// run does.
+func TestDaemonRejectsOldLayoutCheckpoint(t *testing.T) {
 	ref := uninterruptedOutput(t)
 	got, cs := runFromFixture(t)
-	if strings.Contains(got, "ignoring checkpoint") || !cs.Restored || cs.Restarts != 0 {
-		t.Fatalf("layout-1 fixture did not restore (restored=%v restarts=%d):\n%s", cs.Restored, cs.Restarts, got)
+	const reason = "checkpoint layout 1, this build reads 2"
+	if !strings.Contains(got, "[bob] ignoring checkpoint") || !strings.Contains(got, reason) {
+		t.Errorf("layout-1 checkpoint was not rejected by layout number:\n%s", got)
+	}
+	if cs.Restored || cs.Restarts != 0 {
+		t.Errorf("bob: restored=%v restarts=%d after a layout-1 checkpoint, want a fresh start without restarts",
+			cs.Restored, cs.Restarts)
+	}
+	if cs.CheckpointRejected != reason {
+		t.Errorf("bob: /healthz checkpoint_rejected = %q, want %q", cs.CheckpointRejected, reason)
 	}
 	for _, kind := range []string{"final:", "done:"} {
 		want := strings.Join(linesFor(ref, "bob", kind), "\n")
 		have := strings.Join(linesFor(got, "bob", kind), "\n")
 		if want == "" || have != want {
-			t.Errorf("bob's %s lines after the restore differ from an uninterrupted run's:\n--- reference\n%s\n--- got\n%s",
+			t.Errorf("bob's %s lines after the fresh start differ from an uninterrupted run's:\n--- reference\n%s\n--- got\n%s",
 				kind, want, have)
 		}
 	}

@@ -203,20 +203,21 @@ type captureRun struct {
 	scenario capture.Scenario
 	ckptPath string
 
-	mu        sync.Mutex
-	state     State
-	restarts  int
-	lastErr   error
-	stats     stream.Stats
-	health    sniffer.Stats
-	now       time.Duration
-	ckptAt    time.Duration
-	ckptSize  int64
-	latest    map[stream.Key]stream.Verdict
-	order     []stream.Key
-	tail      map[stream.Key][]trace.Record
-	restored  bool
-	ckptDrops int64
+	mu       sync.Mutex
+	state    State
+	restarts int
+	lastErr  error
+	stats    stream.Stats
+	health   sniffer.Stats
+	now      time.Duration
+	ckptAt   time.Duration
+	ckptSize int64
+	latest   map[stream.Key]stream.Verdict
+	order    []stream.Key
+	tail     map[stream.Key][]trace.Record
+	restored bool
+	// ckptRejected is why the last refused checkpoint was refused.
+	ckptRejected string
 }
 
 // Daemon runs the configured captures until they complete or the context
@@ -356,8 +357,7 @@ func (d *Daemon) runOnce(ctx context.Context, cr *captureRun) error {
 	rs := d.loadCheckpoint(cr)
 	err := d.runFrom(ctx, cr, rs)
 	if rs != nil && errors.Is(err, stream.ErrRestore) {
-		d.ckptRejects.Inc()
-		d.printf("[%s] ignoring checkpoint %s: %v; starting fresh\n", cr.spec.Name, cr.ckptPath, err)
+		d.rejectCheckpoint(cr, err)
 		err = d.runFrom(ctx, cr, nil)
 	}
 	return err
@@ -391,9 +391,7 @@ func (d *Daemon) runFrom(ctx context.Context, cr *captureRun, rs *restoreState) 
 			}
 		}
 		if live.Now() != restore.Now {
-			d.ckptRejects.Inc()
-			d.printf("[%s] checkpoint at %v is beyond the scenario end %v; starting fresh\n",
-				cr.spec.Name, restore.Now, live.Now())
+			d.rejectCheckpoint(cr, fmt.Errorf("checkpoint at %v is beyond the scenario end %v", restore.Now, live.Now()))
 			live.Close()
 			if live, err = capture.NewLive(cr.scenario); err != nil {
 				return err

@@ -119,6 +119,18 @@ func linesFor(out, name, kind string) []string {
 	return got
 }
 
+// healthz decodes a daemon's /healthz payload.
+func healthz(t *testing.T, d *daemon.Daemon) daemon.Health {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h daemon.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestDaemonRunsToCompletion pins the plain path: all captures complete,
 // finals are printed, checkpoints exist on disk.
 func TestDaemonRunsToCompletion(t *testing.T) {
@@ -155,12 +167,7 @@ func TestDaemonBackgroundApps(t *testing.T) {
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	d.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var h daemon.Health
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
+	h := healthz(t, d)
 	if len(h.Captures) != 2 {
 		t.Fatalf("healthz lists %d captures, want 2", len(h.Captures))
 	}
@@ -231,12 +238,7 @@ func TestDaemonCheckpointRestartConvergence(t *testing.T) {
 	}
 	// Every capture must have resumed from its checkpoint: a fresh start
 	// would also reproduce the reference suffix and prove nothing.
-	rec := httptest.NewRecorder()
-	res.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var h daemon.Health
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
+	h := healthz(t, res)
 	if len(h.Captures) != len(testSpecs()) {
 		t.Fatalf("healthz lists %d captures, want %d", len(h.Captures), len(testSpecs()))
 	}
@@ -354,6 +356,13 @@ func TestDaemonRejectsIncompatibleCheckpoint(t *testing.T) {
 	if !strings.Contains(dump, "[bob] ignoring checkpoint") {
 		t.Error("parameter-mismatched checkpoint was not reported as ignored")
 	}
+	// /healthz says why each capture started fresh.
+	for _, cs := range healthz(t, d).Captures {
+		want := map[string]string{"alice": "snapshot:", "bob": "pipeline parameters changed"}[cs.Name]
+		if !strings.Contains(cs.CheckpointRejected, want) {
+			t.Errorf("%s: /healthz checkpoint_rejected = %q, want mention of %q", cs.Name, cs.CheckpointRejected, want)
+		}
+	}
 	for _, spec := range testSpecs() {
 		if len(linesFor(dump, spec.Name, "final:")) == 0 {
 			t.Errorf("capture %s did not complete after rejecting its checkpoint", spec.Name)
@@ -433,16 +442,17 @@ func TestDaemonRejectsCheckpointThePipelineRefuses(t *testing.T) {
 		t.Errorf("bob's finals after the fresh start differ from an uninterrupted run's:\n--- reference\n%s\n--- got\n%s",
 			refFinals, gotFinals)
 	}
-	rec := httptest.NewRecorder()
-	d.Handlers()["/healthz"].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var h daemon.Health
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
+	h := healthz(t, d)
 	for _, cs := range h.Captures {
 		if cs.Name == "bob" && (cs.Restored || cs.Restarts != 0) {
 			t.Errorf("bob: restored=%v restarts=%d after a refused checkpoint, want a fresh start without restarts",
 				cs.Restored, cs.Restarts)
+		}
+		if cs.Name == "bob" && !strings.Contains(cs.CheckpointRejected, "exceeds") {
+			t.Errorf("bob: /healthz checkpoint_rejected = %q, want the pipeline's refusal", cs.CheckpointRejected)
+		}
+		if cs.Name == "alice" && cs.CheckpointRejected != "" {
+			t.Errorf("alice: /healthz checkpoint_rejected = %q for a checkpoint that restored", cs.CheckpointRejected)
 		}
 	}
 }

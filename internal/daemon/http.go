@@ -28,6 +28,9 @@ type CaptureStatus struct {
 
 	CheckpointAt   time.Duration `json:"checkpoint_at_ns"`
 	CheckpointSize int64         `json:"checkpoint_bytes"`
+	// CheckpointRejected is why the capture last refused its checkpoint
+	// and started fresh.
+	CheckpointRejected string `json:"checkpoint_rejected,omitempty"`
 
 	Candidates int64 `json:"sniffer_candidates"`
 	Captured   int64 `json:"sniffer_captured"`
@@ -46,20 +49,21 @@ func (d *Daemon) health() Health {
 	for _, cr := range d.caps {
 		cr.mu.Lock()
 		cs := CaptureStatus{
-			Name:           cr.spec.Name,
-			State:          cr.state,
-			Restarts:       cr.restarts,
-			Restored:       cr.restored,
-			Now:            cr.now,
-			Records:        cr.stats.Records,
-			Rows:           cr.stats.Rows,
-			Verdicts:       cr.stats.Verdicts,
-			Users:          cr.stats.Users,
-			CheckpointAt:   cr.ckptAt,
-			CheckpointSize: cr.ckptSize,
-			Candidates:     cr.health.Candidates,
-			Captured:       cr.health.Captured,
-			Dropped:        cr.health.Dropped,
+			Name:               cr.spec.Name,
+			State:              cr.state,
+			Restarts:           cr.restarts,
+			Restored:           cr.restored,
+			Now:                cr.now,
+			Records:            cr.stats.Records,
+			Rows:               cr.stats.Rows,
+			Verdicts:           cr.stats.Verdicts,
+			Users:              cr.stats.Users,
+			CheckpointAt:       cr.ckptAt,
+			CheckpointSize:     cr.ckptSize,
+			CheckpointRejected: cr.ckptRejected,
+			Candidates:         cr.health.Candidates,
+			Captured:           cr.health.Captured,
+			Dropped:            cr.health.Dropped,
 		}
 		if cr.lastErr != nil {
 			cs.LastErr = cr.lastErr.Error()

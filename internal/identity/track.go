@@ -231,7 +231,9 @@ func continuity(pre, post profile) float64 {
 // for the configured TMSIs seed segments; every segment end is then
 // checked against anonymous admissions in other cells within the handover
 // window, and the best traffic-continuity candidate above the threshold
-// extends the chain — hop after hop, until the trail goes cold.
+// extends the chain — hop after hop, until the trail goes cold. The chain
+// is anonymous because the handover command is sent encrypted: a sniffer
+// reads neither the target cell nor the new C-RNTI from it.
 func Track(events []sniffer.IdentityEvent, records trace.Trace, cfg TrackConfig) []Segment {
 	cfg.defaults()
 	want := make(map[uint32]struct{}, len(cfg.TMSIs))

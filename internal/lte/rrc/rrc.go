@@ -74,13 +74,6 @@ type ConnectionSetup struct {
 	ContentionResolution UEIdentity
 }
 
-// ConnectionSetupComplete closes the connection establishment; its NAS
-// payload rides before security activation.
-type ConnectionSetupComplete struct{}
-
-// ConnectionRelease moves the UE back to RRC_IDLE.
-type ConnectionRelease struct{}
-
 // RandomAccessResponse is msg2, addressed to the RA-RNTI: it answers a
 // preamble with a temporary C-RNTI and an uplink grant for msg3.
 type RandomAccessResponse struct {
@@ -103,13 +96,3 @@ type Paging struct {
 // dedicated message is encrypted; the simulator stops attaching plaintext
 // from this point on, exactly as a real sniffer stops being able to read it.
 type SecurityModeCommand struct{}
-
-// ReconfigurationWithMobility is the handover command
-// (RRCConnectionReconfiguration with mobilityControlInfo). On a real
-// network it is sent encrypted — a sniffer cannot read the target cell or
-// the new C-RNTI from it, which is why cross-cell tracking in the paper
-// falls back to identity mapping in the target cell.
-type ReconfigurationWithMobility struct {
-	TargetCell int
-	NewCRNTI   rnti.RNTI
-}

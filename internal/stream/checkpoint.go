@@ -20,6 +20,10 @@ import (
 // byte-identical to one that was never interrupted — the property the
 // daemon's kill-and-restart e2e test pins.
 //
+// The encoding stores only what a restore cannot rebuild: ReadCheckpoint
+// derives Stats.End, Users and OutOfOrder and each buffered record's key,
+// and the always-zero Shed* stats are not written.
+//
 // A Checkpoint is plain data (private to its creator): safe to retain,
 // encode, and restore from after the emitting pipeline has moved on.
 type Checkpoint struct {
@@ -57,30 +61,18 @@ type VoteState struct {
 const (
 	SectionUsers = "stream.users"
 	SectionVotes = "stream.votes"
-	SectionDrift = "stream.drift"
 	SectionStats = "stream.stats"
 )
 
 // sectionNames lists every pipeline section, in encode order.
-var sectionNames = []string{SectionStats, SectionUsers, SectionVotes, SectionDrift}
+var sectionNames = []string{SectionStats, SectionUsers, SectionVotes}
 
-// AppendTo writes the checkpoint's four sections into a snapshot
+// AppendTo writes the checkpoint's three sections into a snapshot
 // container. Users and Votes are written in their (sorted) slice order,
 // so equal state always produces equal bytes.
 func (c *Checkpoint) AppendTo(w *snapshot.Writer) error {
-	for _, name := range sectionNames {
-		var payload []byte
-		switch name {
-		case SectionStats:
-			payload = c.encodeStats()
-		case SectionUsers:
-			payload = c.encodeUsers()
-		case SectionVotes:
-			payload = c.encodeVotes()
-		case SectionDrift:
-			payload = c.encodeDrift()
-		}
-		if err := w.Section(name, payload); err != nil {
+	for i, payload := range [][]byte{c.encodeStats(), c.encodeUsers(), c.encodeVotes()} {
+		if err := w.Section(sectionNames[i], payload); err != nil {
 			return err
 		}
 	}
@@ -88,7 +80,7 @@ func (c *Checkpoint) AppendTo(w *snapshot.Writer) error {
 }
 
 // ReadCheckpoint rebuilds a checkpoint from a decoded snapshot container's
-// sections. All four pipeline sections must be present and intact.
+// sections. All three pipeline sections must be present and intact.
 func ReadCheckpoint(sections map[string][]byte) (*Checkpoint, error) {
 	for _, name := range sectionNames {
 		if _, ok := sections[name]; !ok {
@@ -105,8 +97,11 @@ func ReadCheckpoint(sections map[string][]byte) (*Checkpoint, error) {
 	if err := c.decodeVotes(sections[SectionVotes]); err != nil {
 		return nil, err
 	}
-	if err := c.decodeDrift(sections[SectionDrift]); err != nil {
-		return nil, err
+	// The stats the cut settles from its users (see checkpoint).
+	c.Stats.End = c.Now
+	c.Stats.Users = len(c.Users)
+	for i := range c.Users {
+		c.Stats.OutOfOrder += c.Users[i].Inc.OutOfOrder
 	}
 	return c, nil
 }
@@ -114,20 +109,14 @@ func ReadCheckpoint(sections map[string][]byte) (*Checkpoint, error) {
 // --- stats section ---
 
 func (c *Checkpoint) encodeStats() []byte {
-	e := snapshot.NewEncoder(128)
+	e := snapshot.NewEncoder(64)
 	e.Duration(c.Now)
 	s := &c.Stats
 	e.Varint(s.Records)
 	e.Varint(s.Rows)
 	e.Varint(s.Predictions)
 	e.Varint(s.Verdicts)
-	e.Varint(s.ShedRecords)
-	e.Varint(s.ShedRows)
-	e.Varint(s.ShedPredictions)
-	e.Varint(s.OutOfOrder)
 	e.Varint(s.RetrainSignals)
-	e.Varint(int64(s.Users))
-	e.Duration(s.End)
 	return e.Bytes()
 }
 
@@ -139,13 +128,7 @@ func (c *Checkpoint) decodeStats(b []byte) error {
 	s.Rows = d.Varint()
 	s.Predictions = d.Varint()
 	s.Verdicts = d.Varint()
-	s.ShedRecords = d.Varint()
-	s.ShedRows = d.Varint()
-	s.ShedPredictions = d.Varint()
-	s.OutOfOrder = d.Varint()
 	s.RetrainSignals = d.Varint()
-	s.Users = int(d.Varint())
-	s.End = d.Duration()
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("stream: checkpoint stats: %w", err)
 	}
@@ -167,6 +150,9 @@ func decodeKey(d *snapshot.Decoder) Key {
 
 // --- users section (incremental window extractors) ---
 
+// encodeUsers writes each user's extractor state. A buffered record is
+// written without its CellID and RNTI: the pipeline keys extractors by
+// them, so they are the user's key.
 func (c *Checkpoint) encodeUsers() []byte {
 	e := snapshot.NewEncoder(1024)
 	e.Uvarint(uint64(len(c.Users)))
@@ -187,8 +173,6 @@ func (c *Checkpoint) encodeUsers() []byte {
 		e.Uvarint(uint64(len(st.Buf)))
 		for _, r := range st.Buf {
 			e.Duration(r.At)
-			e.Varint(int64(r.CellID))
-			e.Uvarint(uint64(r.RNTI))
 			e.Varint(int64(r.Dir))
 			e.Varint(int64(r.Bytes))
 		}
@@ -214,7 +198,7 @@ func (c *Checkpoint) decodeUsers(b []byte) error {
 		st.HasEvicted = d.Bool()
 		st.EvictedAt = d.Duration()
 		st.OutOfOrder = d.Varint()
-		recs := d.Count(5)
+		recs := d.Count(3)
 		if d.Err() != nil {
 			break
 		}
@@ -224,8 +208,8 @@ func (c *Checkpoint) decodeUsers(b []byte) error {
 		for j := 0; j < recs; j++ {
 			st.Buf = append(st.Buf, trace.Record{
 				At:     d.Duration(),
-				CellID: int(d.Varint()),
-				RNTI:   rnti.RNTI(d.Uvarint()),
+				CellID: u.Key.CellID,
+				RNTI:   u.Key.RNTI,
 				Dir:    dci.Direction(d.Varint()),
 				Bytes:  int(d.Varint()),
 			})
@@ -239,7 +223,7 @@ func (c *Checkpoint) decodeUsers(b []byte) error {
 	return nil
 }
 
-// --- votes section (vote rings) ---
+// --- votes section (vote rings, each with its drift latch) ---
 
 func (c *Checkpoint) encodeVotes() []byte {
 	e := snapshot.NewEncoder(1024)
@@ -253,13 +237,14 @@ func (c *Checkpoint) encodeVotes() []byte {
 		for _, s := range v.Slots {
 			e.Varint(int64(s))
 		}
+		e.Bool(v.DriftLatched)
 	}
 	return e.Bytes()
 }
 
 func (c *Checkpoint) decodeVotes(b []byte) error {
 	d := snapshot.NewDecoder(b)
-	n := d.Count(5)
+	n := d.Count(6)
 	var votes []VoteState // nil when empty, so round-trips preserve DeepEqual
 	for i := 0; i < n; i++ {
 		var v VoteState
@@ -278,6 +263,7 @@ func (c *Checkpoint) decodeVotes(b []byte) error {
 			}
 			v.Slots[j] = int16(s)
 		}
+		v.DriftLatched = d.Bool()
 		if v.Pos < 0 || v.Pos >= max(len(v.Slots), 1) || v.Fill < 0 || v.Fill > len(v.Slots) {
 			return fmt.Errorf("stream: checkpoint votes: impossible ring (pos %d, fill %d, %d slots)", v.Pos, v.Fill, len(v.Slots))
 		}
@@ -290,41 +276,6 @@ func (c *Checkpoint) decodeVotes(b []byte) error {
 		return fmt.Errorf("stream: checkpoint votes: %w", err)
 	}
 	c.Votes = votes
-	return nil
-}
-
-// --- drift section (drift-monitor latches, parallel to votes) ---
-
-func (c *Checkpoint) encodeDrift() []byte {
-	e := snapshot.NewEncoder(64)
-	e.Uvarint(uint64(len(c.Votes)))
-	for i := range c.Votes {
-		encodeKey(e, c.Votes[i].Key)
-		e.Bool(c.Votes[i].DriftLatched)
-	}
-	return e.Bytes()
-}
-
-func (c *Checkpoint) decodeDrift(b []byte) error {
-	d := snapshot.NewDecoder(b)
-	n := d.Count(3)
-	if d.Err() == nil && n != len(c.Votes) {
-		return fmt.Errorf("stream: checkpoint drift: %d entries for %d vote rings", n, len(c.Votes))
-	}
-	for i := 0; i < n; i++ {
-		k := decodeKey(d)
-		latched := d.Bool()
-		if d.Err() != nil {
-			break
-		}
-		if k != c.Votes[i].Key {
-			return fmt.Errorf("stream: checkpoint drift: entry %d keyed %v, vote ring keyed %v", i, k, c.Votes[i].Key)
-		}
-		c.Votes[i].DriftLatched = latched
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("stream: checkpoint drift: %w", err)
-	}
 	return nil
 }
 

@@ -156,26 +156,25 @@ func TestCheckpointDeterministicBytes(t *testing.T) {
 }
 
 // randomCheckpoint builds a structurally valid checkpoint with randomised
-// contents for the per-section round-trip property test.
+// contents for the per-section round-trip property test. Its state is
+// consistent the way a cut's is: buffered records carry their user's key,
+// the Shed* stats are zero, and End, Users and OutOfOrder are the values
+// ReadCheckpoint derives.
 func randomCheckpoint(rng *rand.Rand, horizon int) *stream.Checkpoint {
 	c := &stream.Checkpoint{
 		Now: time.Duration(rng.Int64N(1e12)),
 		Stats: stream.Stats{
-			Records:         rng.Int64N(1e9),
-			Rows:            rng.Int64N(1e9),
-			Predictions:     rng.Int64N(1e9),
-			Verdicts:        rng.Int64N(1e9),
-			ShedRecords:     rng.Int64N(1e6),
-			ShedRows:        rng.Int64N(1e6),
-			ShedPredictions: rng.Int64N(1e6),
-			OutOfOrder:      rng.Int64N(1e6),
-			RetrainSignals:  rng.Int64N(1e3),
-			Users:           int(rng.Int64N(100)),
-			End:             time.Duration(rng.Int64N(1e12)),
+			Records:        rng.Int64N(1e9),
+			Rows:           rng.Int64N(1e9),
+			Predictions:    rng.Int64N(1e9),
+			Verdicts:       rng.Int64N(1e9),
+			RetrainSignals: rng.Int64N(1e3),
 		},
 	}
+	c.Stats.End = c.Now
 	nUsers := int(rng.Int64N(5))
 	for u := 0; u < nUsers; u++ {
+		key := stream.Key{CellID: 1, RNTI: rnti.RNTI(100 + u)}
 		st := features.IncrementalState{
 			Width:      100 * time.Millisecond,
 			Stride:     100 * time.Millisecond,
@@ -191,16 +190,15 @@ func randomCheckpoint(rng *rand.Rand, horizon int) *stream.Checkpoint {
 		for r := int(rng.Int64N(8)); r > 0; r-- {
 			st.Buf = append(st.Buf, trace.Record{
 				At:     time.Duration(rng.Int64N(1e10)),
-				CellID: int(rng.Int64N(4)) + 1,
-				RNTI:   rnti.RNTI(rng.Int64N(60000)),
+				CellID: key.CellID,
+				RNTI:   key.RNTI,
 				Dir:    dci.Direction(1 + rng.Int64N(2)),
 				Bytes:  int(rng.Int64N(1e5)),
 			})
 		}
-		c.Users = append(c.Users, stream.UserState{
-			Key: stream.Key{CellID: 1, RNTI: rnti.RNTI(100 + u)},
-			Inc: st,
-		})
+		c.Users = append(c.Users, stream.UserState{Key: key, Inc: st})
+		c.Stats.Users++
+		c.Stats.OutOfOrder += st.OutOfOrder
 	}
 	nVotes := int(rng.Int64N(5))
 	for v := 0; v < nVotes; v++ {
@@ -248,7 +246,7 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"stream.stats", "stream.users", "stream.votes", "stream.drift"} {
+	for _, name := range []string{"stream.stats", "stream.users", "stream.votes"} {
 		mutated := map[string][]byte{}
 		for k, v := range sections {
 			mutated[k] = v
@@ -264,6 +262,24 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 				t.Errorf("truncated %s decoded successfully", name)
 			}
 		}
+	}
+
+	// A votes payload cut inside a ring's drift byte, the last byte of
+	// each ring: one ring, whole up to its slots.
+	one := &stream.Checkpoint{Votes: []stream.VoteState{{
+		Key: stream.Key{CellID: 1, RNTI: 100}, Slots: []int16{3, 4}, Pos: 0, Fill: 2, DriftLatched: true,
+	}}}
+	votes := map[string][]byte{}
+	for k, v := range sections {
+		votes[k] = v
+	}
+	whole, err := snapshot.ReadAll(bytes.NewReader(encodeCheckpoint(t, one)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes["stream.votes"] = whole["stream.votes"][:len(whole["stream.votes"])-1]
+	if _, err := stream.ReadCheckpoint(votes); err == nil || !strings.Contains(err.Error(), "stream: checkpoint votes") {
+		t.Errorf("votes cut inside the drift byte: err = %v, want a votes decode error", err)
 	}
 }
 

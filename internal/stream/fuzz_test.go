@@ -16,7 +16,7 @@ import (
 // checkpoint decoder and a pipeline restored from the result, and each
 // input must either restore or return an error, never panic.
 //
-// The fuzzer mutates the four pipeline sections, not the container
+// The fuzzer mutates the three pipeline sections, not the container
 // bytes: every container section carries a CRC, so a mutated container
 // almost never reaches the checkpoint decoder (FuzzSnapshotDecode covers
 // the container itself). The restored run's source is empty and starts at
@@ -63,11 +63,10 @@ func FuzzCheckpointRestore(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(sections[stream.SectionStats], sections[stream.SectionUsers],
-			sections[stream.SectionVotes], sections[stream.SectionDrift])
+		f.Add(sections[stream.SectionStats], sections[stream.SectionUsers], sections[stream.SectionVotes])
 	}
 
-	f.Fuzz(func(t *testing.T, stats, users, votes, drift []byte) {
+	f.Fuzz(func(t *testing.T, stats, users, votes []byte) {
 		var buf bytes.Buffer
 		w, err := snapshot.NewWriter(&buf)
 		if err != nil {
@@ -80,7 +79,6 @@ func FuzzCheckpointRestore(f *testing.F) {
 			{stream.SectionStats, stats},
 			{stream.SectionUsers, users},
 			{stream.SectionVotes, votes},
-			{stream.SectionDrift, drift},
 		} {
 			if err := w.Section(s.name, s.payload); err != nil {
 				t.Fatal(err)

@@ -172,8 +172,8 @@ type Stats struct {
 	Predictions int64
 	Verdicts    int64
 	// ShedRecords/ShedRows/ShedPredictions are always zero: the pipeline
-	// blocks rather than drops. They stay because the checkpoint's stats
-	// section encodes them and the benchmark harness reads them.
+	// blocks rather than drops. No checkpoint stores them; they stay only
+	// because the benchmark harness reads them.
 	ShedRecords     int64
 	ShedRows        int64
 	ShedPredictions int64

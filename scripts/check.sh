@@ -20,6 +20,12 @@ if [ -n "$unformatted" ]; then
 	echo "$unformatted"
 	exit 1
 fi
+# A report, not a gate: the non-test Go line count of the program module
+# and of the benchmark module, counted the same way on every change.
+echo "== non-test Go lines"
+program=$(find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+bench=$(find bench -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+echo "program $program, bench $bench, total $((program + bench))"
 echo "== go vet ./..."
 go vet ./...
 # The e2e tests and their subprocess harness build only under the e2e
