@@ -221,8 +221,9 @@ func (d *Daemon) decodeCheckpoint(cr *captureRun, f *os.File) (*restoreState, er
 	layout := uint64(1)
 	if b, ok := sections[sectionDaemonLayout]; ok {
 		dec := snapshot.NewDecoder(b)
-		if layout = dec.Uvarint(); dec.Finish() != nil {
-			return nil, fmt.Errorf("checkpoint layout: %w", dec.Finish())
+		layout = dec.Uvarint()
+		if err := dec.Finish(); err != nil {
+			return nil, fmt.Errorf("checkpoint layout: %w", err)
 		}
 	}
 	if layout != checkpointLayout {
